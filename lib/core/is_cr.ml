@@ -120,30 +120,27 @@ let compile_packed ?(templates = [||]) spec packed =
     steps = lazy (Array.of_list (Ground.steps_of_packed packed));
   }
 
-type grounding = [ `Eager | `Demand ]
+(* The value-class numbering is a pure function of the entity
+   relation, cached on the specification; class ids therefore agree
+   with every future run's orders without building a throwaway
+   instance here. *)
+let compile spec =
+  let d =
+    Ground.instantiate_demand ~intern:(Specification.intern spec)
+      ~ruleset:(Specification.ruleset spec) ~entity:(Specification.entity spec)
+      ~master:(Specification.master spec) ~orders:(Specification.numbering spec)
+      ()
+  in
+  compile_packed ~templates:d.Ground.d_templates spec d.Ground.d_packed
 
-let compile ?(grounding = `Demand) spec =
-  (* The value-class numbering is a pure function of the entity
-     relation, cached on the specification; class ids therefore
-     agree with every future run's orders without building a
-     throwaway instance here. *)
-  let intern = Specification.intern spec in
-  let ruleset = Specification.ruleset spec in
-  let entity = Specification.entity spec in
-  let master = Specification.master spec in
-  let orders = Specification.numbering spec in
-  match (grounding, master) with
-  | `Demand, Some _ ->
-      let d = Ground.instantiate_demand ~intern ~ruleset ~entity ~master ~orders () in
-      compile_packed ~templates:d.Ground.d_templates spec d.Ground.d_packed
-  | _ ->
-      compile_packed spec
-        (Ground.instantiate_packed ~intern ~ruleset ~entity ~master ~orders)
+let compile_eager spec =
+  compile_packed spec
+    (Ground.instantiate_packed ~intern:(Specification.intern spec)
+       ~ruleset:(Specification.ruleset spec) ~entity:(Specification.entity spec)
+       ~master:(Specification.master spec) ~orders:(Specification.numbering spec))
 
 let compiled_spec c = c.cspec
-let compiled_packed c = c.packed
 let compiled_template_count c = Array.length c.templates
-let ground_size c = Array.length c.actions
 
 (* One reversal record of the undo log. Rollback is order-
    independent: each entry resets one monotone bit (or counter tick)
@@ -609,7 +606,6 @@ let snapshot c =
   | None -> ());
   { zc = c; zst = st; zinst = inst; base_cr; base_te = Instance.te inst }
 
-let snapshot_compiled z = z.zc
 let snapshot_base_cr z = z.base_cr
 let snapshot_base_te z = Array.copy z.base_te
 
@@ -677,8 +673,8 @@ let check_snapshot_budgeted ~budget z tuple =
 (* ------------------------------------------------------------------ *)
 
 type session = {
-  mutable sc : compiled;
-  mutable sst : run_state;
+  sc : compiled;
+  sst : run_state;
   sinst : Instance.t;
   mutable broken : bool;
 }
@@ -723,130 +719,6 @@ let session_fill s fills =
       match drain s.sc s.sst s.sinst ~fired:(ref 0) ~changed:(ref 0) with
       | Church_rosser _, _ -> Ok ()
       | Not_church_rosser { rule; reason }, _ -> fail rule reason)
-
-(* Carry a drained (or budget-paused) run state over to an extended
-   compiled form. Old sids keep their slot offsets — [slot_base] is a
-   prefix sum in sid order, so appending steps never moves an
-   existing flat slot — which makes this a plain blit plus fresh
-   counters for the appended suffix. *)
-let extend_state c' st =
-  let n = Array.length c'.actions in
-  let old_n = st.n in
-  let remaining =
-    Array.init n (fun sid ->
-        if sid < old_n then st.remaining.(sid)
-        else Ground.packed_pred_count c'.packed sid)
-  in
-  let sat = Bytes.make c'.total_slots '\000' in
-  Bytes.blit st.sat 0 sat 0 st.nslots;
-  let dead = Bytes.make n '\000' in
-  Bytes.blit st.dead 0 dead 0 old_n;
-  let queued = Bytes.make n '\000' in
-  Bytes.blit st.queued 0 queued 0 old_n;
-  let demand = Array.length c'.templates > 0 in
-  {
-    c = c';
-    n;
-    remaining;
-    slot_base = (if demand then Array.copy c'.slot_base else c'.slot_base);
-    nslots = c'.total_slots;
-    sat;
-    dead;
-    queued;
-    queue = Queue.copy st.queue;
-    arena =
-      (if demand then Some (Ground.arena_create c'.packed c'.templates)
-       else None);
-    (* Probe marks survive: template ids and value ids are stable,
-       and a marked key's steps are all in the frozen prefix now. *)
-    probed = st.probed;
-    x_ord = Hashtbl.create 8;
-    x_te = Hashtbl.create 8;
-    base_inst = None;
-    logging = false;
-    log = [];
-  }
-
-let session_extend_spec s spec delta =
-  if s.broken then invalid_arg "Is_cr.session_extend: session is broken";
-  let added = Ground.packed_count delta in
-  if added = 0 then begin
-    (* Γ unchanged: nothing to re-fire, but a rule-set swap must
-       still land on the compiled form so later extends ground
-       against the current Σ. *)
-    if spec != s.sc.cspec then s.sc <- { s.sc with cspec = spec };
-    Ok 0
-  end
-  else begin
-    (* A live run may hold steps materialized past the compiled
-       prefix: freeze them into the packed numbering first, so the
-       append — and the rebuilt compiled form's watch tables — cover
-       them. Slot order is attach order, so the existing state
-       arrays carry over unchanged. *)
-    let base_packed =
-      match s.sst.arena with
-      | Some a when Ground.arena_ext_count a > 0 -> Ground.arena_freeze a
-      | _ -> s.sc.packed
-    in
-    let packed = Ground.packed_append base_packed delta in
-    let c' = compile_packed ~templates:s.sc.templates spec packed in
-    let st' = extend_state c' s.sst in
-    let inst = s.sinst in
-    let old_n = s.sst.n in
-    s.sc <- c';
-    s.sst <- st';
-    (* Evaluate each appended step's residuals against the live
-       fixpoint. [Instance.apply] reports every newly-implied strict
-       class pair of an [Extended] batch, so at a fixpoint a [P_ord]
-       watcher has fired exactly when [lt_classes] holds now; [te] is
-       write-once, so an assigned attribute decides a [P_te] residual
-       for good (mismatch kills the step) and an unassigned one
-       leaves the new watch-table entry to do its job later. *)
-    let intern = Specification.intern spec in
-    for sid = old_n to Array.length c'.actions - 1 do
-      Ground.packed_iter_predi packed sid (fun slot p ->
-          match p with
-          | Ground.P_ord { attr; c1; c2 } ->
-              if Ordering.Attr_order.lt_classes (Instance.order inst attr) c1 c2
-              then satisfy st' sid slot
-          | Ground.P_te { attr; op; value } ->
-              let cur = Instance.te_value inst attr in
-              if not (Relational.Value.is_null cur) then
-                if compile_te_test intern op value (Instance.te_id inst attr) cur
-                then satisfy st' sid slot
-                else Bytes.set st'.dead sid '\001');
-      enqueue_if_ready st' sid
-    done;
-    match drain c' st' inst ~fired:(ref 0) ~changed:(ref 0) with
-    | Church_rosser _, _ -> Ok added
-    | Not_church_rosser { rule; reason }, _ ->
-        s.broken <- true;
-        Error (rule, reason)
-  end
-
-let session_extend s delta = session_extend_spec s s.sc.cspec delta
-
-let session_add_rule s rule =
-  if s.broken then invalid_arg "Is_cr.session_add_rule: session is broken";
-  let spec = s.sc.cspec in
-  match Rules.Ruleset.add (Specification.ruleset spec) rule with
-  | Error reason -> Error ("rule-add", reason)
-  | Ok rs ->
-      let delta =
-        Ground.instantiate_packed_only
-          ~only:(fun r -> r == rule)
-          ~intern:(Specification.intern spec)
-          ~ruleset:rs
-          ~entity:(Specification.entity spec)
-          ~master:(Specification.master spec)
-          ~orders:(Specification.numbering spec)
-      in
-      session_extend_spec s (Specification.with_ruleset spec rs) delta
-
-let deduced_target spec =
-  match run spec with
-  | Church_rosser inst -> Some (Instance.te inst)
-  | Not_church_rosser _ -> None
 
 let is_church_rosser spec =
   match run spec with Church_rosser _ -> true | Not_church_rosser _ -> false

@@ -36,38 +36,36 @@ type compiled
     depend on the initial template (target attributes ground to
     pending predicates), so one compilation serves every
     [check(t, S)] call of the top-k algorithms (§6). Immutable and
-    safely shared across runs, entities and domains — in demand mode
-    the growth happens in per-run state, never here. *)
+    safely shared across runs, entities and domains — steps
+    materialized from templates live in per-run state, never here. *)
 
-type grounding = [ `Eager | `Demand ]
-(** How form-(2) rules ground. [`Eager]: one step per master row, up
-    front — Γ is O(|Im|) per entity (the paper's literal reading, and
-    the reference for equivalence tests). [`Demand] (the default):
-    such rules compile to {!Rules.Ground.template}s and their steps
-    materialize during the chase, only when a [te] write produces a
-    join value that hits the shared master value index
-    ({!Rules.Master_index}) — per-entity work then scales with the
-    entity's {e reachable} master slice. The two modes compute
-    byte-identical verdicts, targets and traces (property-tested):
-    a deferred step whose join key never appears could never have
+val compile : Specification.t -> compiled
+(** Ground Σ for the specification's entity and index Γ. Form-(2)
+    rules with a [Te_master] conjunct compile to
+    {!Rules.Ground.template}s ({!Rules.Ground.instantiate_demand}):
+    their steps materialize during the chase, only when a [te] write
+    produces a join value that hits the shared master value index
+    ({!Rules.Master_index}), so per-entity work scales with the
+    entity's {e reachable} master slice rather than with |Im|. Every
+    other rule grounds up front. Without a master nothing defers. *)
+
+val compile_eager : Specification.t -> compiled
+(** The reference for {!compile}: every form-(2) rule grounds one
+    step per master row up front ({!Rules.Ground.instantiate_packed}),
+    the paper's literal reading. Verdicts, targets, traces and top-k
+    output are byte-identical to {!compile}'s (property-tested): a
+    deferred step whose join key never appears could never have
     fired, and materialization on a chase-null attribute taking an
-    active-domain value during a top-k check happens exactly when
-    the eager step's residual would first be satisfied. *)
+    active-domain value during a top-k check happens exactly when the
+    eager step's residual would first be satisfied. Only the
+    equivalence tests use it; the naive {!Chase} oracle is too slow
+    for Syn-sized corpora, so this is the eager side they compare
+    against. *)
 
-val compile : ?grounding:grounding -> Specification.t -> compiled
 val compiled_spec : compiled -> Specification.t
 
-val ground_size : compiled -> int
-(** Eagerly-ground steps (the compiled prefix — demand-materialized
-    steps are per-run and not counted). *)
-
 val compiled_template_count : compiled -> int
-(** Deferred form-(2) templates ([0] in eager mode). *)
-
-val compiled_packed : compiled -> Rules.Ground.packed
-(** The packed Γ the compiled form was built from — what the
-    delta-store index ({!Rules.Delta}) of an incremental session is
-    built over. *)
+(** Deferred form-(2) templates ([0] for {!compile_eager}). *)
 
 val run_compiled :
   ?trace:(Rules.Ground.step -> unit) ->
@@ -120,8 +118,6 @@ val snapshot : compiled -> snapshot
     under {e every} template, so the snapshot answers all checks
     with [false] outright. *)
 
-val snapshot_compiled : snapshot -> compiled
-
 val snapshot_base_cr : snapshot -> bool
 (** Whether the base fixpoint is Church-Rosser. *)
 
@@ -131,9 +127,10 @@ val snapshot_base_te : snapshot -> Relational.Value.t array
     rejected without running a delta. *)
 
 val check_snapshot : snapshot -> Relational.Value.t array -> bool
-(** Same answer as [check (snapshot_compiled z)] (property-tested),
-    in time proportional to the candidate's delta. Raises
-    [Invalid_argument] if the tuple has a null attribute. *)
+(** Same answer as [check c] for the compiled form [c] the snapshot
+    was built from (property-tested), in time proportional to the
+    candidate's delta. Raises [Invalid_argument] if the tuple has a
+    null attribute. *)
 
 val check_snapshot_budgeted :
   budget:Robust.Budget.t ->
@@ -187,36 +184,6 @@ val session_fill :
     drains whatever work is pending (the resume path for sessions
     started under a {!Robust.Budget.t} that tripped). *)
 
-val session_extend :
-  session -> Rules.Ground.packed -> (int, string * string) result
-(** Splice a delta Γ onto a live session and chase to the new
-    fixpoint. The delta must have been grounded with the session
-    specification's own intern table and numbering (use
-    {!Rules.Ground.instantiate_packed_only} against
-    {!Specification.intern}/{!Specification.numbering}); sound for
-    the same monotonicity reason as {!session_fill} — appended steps
-    are evaluated against the current fixpoint (already-implied
-    order pairs and assigned [te] attributes decide their residuals
-    immediately) and only the woken slice re-fires. Returns the
-    number of steps appended. [Error (rule, reason)] breaks the
-    session, as in {!session_fill}. Raises [Invalid_argument] on a
-    broken session. *)
-
-val session_add_rule :
-  session -> Rules.Ar.t -> (int, string * string) result
-(** Ground one added rule against the session's entity (a filtered
-    {!Rules.Ground.instantiate_packed_only} pass — the rest of Σ is
-    not re-instantiated), swap the enlarged rule set onto the
-    session's specification, and {!session_extend} with the result.
-    [Ok 0] means the rule contributed no ground steps: the fixpoint
-    is provably unchanged. [Error ("rule-add", reason)] when the
-    rule set rejects the rule (e.g. arity mismatch); note duplicate
-    names are {e not} rejected here — callers owning a name-keyed
-    retire path should check first. *)
-
 val run_stat : Specification.t -> verdict * stat
-
-val deduced_target : Specification.t -> Relational.Value.t array option
-(** [Some te] when Church-Rosser, [None] otherwise. *)
 
 val is_church_rosser : Specification.t -> bool

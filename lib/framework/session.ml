@@ -24,15 +24,16 @@ type delta_report = {
 (* One live entity: its membership, the cached result of the exact
    batch per-entity path, and the lazily-built affectedness indexes.
    [e_vals] packs the (attribute, interned value id) pairs of the
-   member tuples — the value-level index the Master_fix analysis
-   probes; [e_delta] indexes the entity's current Γ by rule and vid
-   ({!Rules.Delta}) — the rule-level index Rule_retire probes. Both
-   are invalidated (set to [None]) whenever their inputs change. *)
+   member tuples — the values the reachability test probes; [e_rules]
+   names the rules behind the entity's current Γ (the first-wins
+   provenance of its ground steps plus its deferred templates) — what
+   Rule_retire probes. Both are invalidated (set to [None]) whenever
+   their inputs change. *)
 type centry = {
   mutable e_members : int list;  (* row ids, ascending *)
   mutable e_instance : Relation.t;
   mutable e_spec : Core.Specification.t option;
-  mutable e_delta : Rules.Delta.t option;
+  mutable e_rules : (string, unit) Hashtbl.t option;
   mutable e_vals : int array option;
   mutable e_result : Cleaner.entity_result;
 }
@@ -126,15 +127,15 @@ let process_entity t instance =
   Cleaner.process_entity ?pref_of:t.pref_of ?k_budget:t.k_budget
     ~budget:t.budget ?retries:t.retries ?master:t.master t.ruleset instance
 
+let spec_of t instance =
+  Result.to_option (Core.Specification.make ~entity:instance ?master:t.master t.ruleset)
+
 let entry_of_result t members instance result =
   {
     e_members = members;
     e_instance = instance;
-    e_spec =
-      (match Core.Specification.make ~entity:instance ?master:t.master t.ruleset with
-      | Ok spec -> Some spec
-      | Error _ -> None);
-    e_delta = None;
+    e_spec = spec_of t instance;
+    e_rules = None;
     e_vals = None;
     e_result = result;
   }
@@ -146,13 +147,8 @@ let fresh_entry t members =
 
 let reclean e t =
   e.e_instance <- instance_of t e.e_members;
-  e.e_spec <-
-    (match
-       Core.Specification.make ~entity:e.e_instance ?master:t.master t.ruleset
-     with
-    | Ok spec -> Some spec
-    | Error _ -> None);
-  e.e_delta <- None;
+  e.e_spec <- spec_of t e.e_instance;
+  e.e_rules <- None;
   e.e_vals <- None;
   Obs.Counter.incr m_recleaned;
   e.e_result <- process_entity t e.e_instance
@@ -188,35 +184,39 @@ let mem_sorted (a : int array) x =
   done;
   !found
 
-let delta_of t e =
-  match e.e_delta with
-  | Some d -> Some d
-  | None -> (
-      match e.e_spec with
-      | None -> None
-      | Some spec ->
-          (* Γ over the CURRENT inputs: the spec's intern/numbering are
-             entity-derived and extensible, so grounding the current
-             rule set and master through them yields exactly the Γ the
-             next recompute would see. Demand grounding keeps this
-             probe sublinear in |Im|: form-(2) rules defer to
-             templates, which the index folds into its rule-name
-             over-approximation instead of their |Im| steps. *)
-          let dg =
-            Rules.Ground.instantiate_demand
-              ~intern:(Core.Specification.intern spec)
-              ~ruleset:t.ruleset ~entity:e.e_instance ~master:t.master
-              ~orders:(Core.Specification.numbering spec)
-              ()
-          in
-          let d =
-            Rules.Delta.of_packed ~templates:dg.Rules.Ground.d_templates
-              ~intern:(Core.Specification.intern spec)
-              ~orders:(Core.Specification.numbering spec)
-              dg.Rules.Ground.d_packed
-          in
-          e.e_delta <- Some d;
-          Some d)
+(* The entity's Γ over the CURRENT inputs, demand-ground: the spec's
+   intern/numbering are entity-derived and extensible, so grounding
+   the current rule set and master through them yields exactly the Γ
+   the next recompute would see, and form-(2) rules stay templates
+   instead of |Im| steps. [None] when the entity has no valid
+   specification. *)
+let ground_entity ?only t e =
+  Option.map
+    (fun spec ->
+      Rules.Ground.instantiate_demand ?only
+        ~intern:(Core.Specification.intern spec)
+        ~ruleset:t.ruleset ~entity:e.e_instance ~master:t.master
+        ~orders:(Core.Specification.numbering spec)
+        ())
+    e.e_spec
+
+let rules_of t e =
+  match e.e_rules with
+  | Some _ as names -> names
+  | None ->
+      Option.map
+        (fun d ->
+          let names = Hashtbl.create 16 in
+          let pk = d.Rules.Ground.d_packed in
+          for sid = 0 to Rules.Ground.packed_count pk - 1 do
+            Hashtbl.replace names (Rules.Ground.packed_rule_name pk sid) ()
+          done;
+          Array.iter
+            (fun tpl -> Hashtbl.replace names (Rules.Ground.template_name tpl) ())
+            d.Rules.Ground.d_templates;
+          e.e_rules <- Some names;
+          names)
+        (ground_entity t e)
 
 let assign_into t =
   match t.assign_into with
@@ -241,10 +241,28 @@ let assign_into t =
       t.assign_into <- Some h;
       h
 
-(* The rule-level variant of the Master_fix reachability argument
-   (see [master_fix] below): the deduplicated [Te_master] residual
-   vectors a form-(2) rule grounds over the selected master rows.
-   [None] for form-(1) rules — their grounding probe is already
+(* ------------------------------------------------------------------ *)
+(* Reachability: can a form-(2) step move this entity's result?       *)
+(* ------------------------------------------------------------------ *)
+
+(* A form-(2) rule grounds one step per master row passing its
+   [Master_const] selection. The step's residuals are te-tests
+   against the row's [Te_master] join values, and its action copies
+   the row's [f2_tm_attr] value. *)
+let master_selects f2 tu =
+  List.for_all
+    (function
+      | Rules.Ar.Master_const (b, op, c) -> Rules.Ar.eval_op op (Tuple.get tu b) c
+      | _ -> true)
+    f2.Rules.Ar.f2_lhs
+
+let residual_of f2 tu =
+  List.filter_map
+    (function Rules.Ar.Te_master (al, b) -> Some (al, Tuple.get tu b) | _ -> None)
+    f2.Rules.Ar.f2_lhs
+
+(* The deduplicated residual vectors a rule grounds over the current
+   master; [None] for form-(1) rules, whose grounding probe is
    entity-level. Computed once per update, probed per entity. *)
 let f2_residual_rows t = function
   | Rules.Ar.Form1 _ -> None
@@ -253,53 +271,45 @@ let f2_residual_rows t = function
         match t.master with
         | None -> []
         | Some m ->
-            let sel tu =
-              List.for_all
-                (function
-                  | Rules.Ar.Master_const (b, op, c) ->
-                      Rules.Ar.eval_op op (Tuple.get tu b) c
-                  | _ -> true)
-                f2.Rules.Ar.f2_lhs
-            in
             List.filter_map
               (fun tu ->
                 if
-                  sel tu
+                  master_selects f2 tu
                   && not (Value.is_null (Tuple.get tu f2.Rules.Ar.f2_tm_attr))
-                then
-                  Some
-                    (List.filter_map
-                       (function
-                         | Rules.Ar.Te_master (al, b) ->
-                             Some (al, Tuple.get tu b)
-                         | _ -> None)
-                       f2.Rules.Ar.f2_lhs)
+                then Some (residual_of f2 tu)
                 else None)
               (Relation.tuples m)
       in
       Some (List.sort_uniq compare rows)
 
-(* Can any of the residual vectors ever be satisfied by this entity's
-   [te]? Reachable values are the entity's own cells (λ-refresh only
-   promotes column values), anything a rule can copy from master, or
-   anything at all on an attribute still null at the chase fixpoint
-   (top-1 completion tries arbitrary active-domain values there).
-   Entities whose outcome is not decided by the fixpoint are
-   provenance-sensitive — always affected. *)
-let entity_reaches t e residual_rows =
+(* The one affectedness test of master and rule updates: can any of
+   the residual vectors ever be satisfied by this entity's [te]? A
+   step whose residuals never hold never fires, so adding or removing
+   it cannot change a result the chase fixpoint decides. [te] is
+   write-once, and the values it can ever hold are exhaustive for
+   chase and candidate checks alike:
+   - the entity's own cells ([e_vals]: λ-refresh only promotes column
+     values);
+   - anything a rule can copy from master ([copyable]);
+   - anything at all on an attribute still null at the chase fixpoint
+     ([r_chase_nulls]: top-1 completion tries arbitrary active-domain
+     values there).
+   Entities whose outcome the fixpoint does not decide (quarantined,
+   non-Church-Rosser) are provenance-sensitive — always affected. *)
+let entity_reaches t ~copyable e residual_rows =
   match e.e_result.Cleaner.r_outcome with
   | Cleaner.Quarantined _ | Cleaner.Not_church_rosser _ -> true
   | _ ->
       let vals = vals_of t e in
       let nulls = e.e_result.Cleaner.r_chase_nulls in
-      let reachable al v =
+      let reachable (al, v) =
         (not (Value.is_null v))
         && (List.mem al nulls
            ||
            let key = pack_av al (Intern.intern t.sintern v) in
-           mem_sorted vals key || Hashtbl.mem (assign_into t) key)
+           mem_sorted vals key || Hashtbl.mem (Lazy.force copyable) key)
       in
-      List.exists (List.for_all (fun (al, v) -> reachable al v)) residual_rows
+      List.exists (List.for_all reachable) residual_rows
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -395,6 +405,22 @@ let dreport t ~touched ~recleaned ~rows_changed =
     d_entities = List.length t.clusters;
   }
 
+(* The shared tail of master and rule updates: split the live
+   entities by [affected], re-clean the affected ones and report.
+   Under a finite budget the analysis is off (see the interface) and
+   every entity re-cleans. Callers that must test against the
+   pre-update inputs pass an already-computed split to
+   [reclean_split]. *)
+let split_affected t affected =
+  if Robust.Budget.is_unlimited t.budget then List.partition affected t.clusters
+  else (t.clusters, [])
+
+let reclean_split t (dirty, clean) =
+  List.iter (fun e -> reclean e t) dirty;
+  List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
+  let n = List.length dirty in
+  dreport t ~touched:n ~recleaned:n ~rows_changed:n
+
 let tuple_add t tuple =
   if Tuple.arity tuple <> Relational.Schema.arity t.schema then
     Error
@@ -487,23 +513,10 @@ let tuple_retract t pos =
          ~rows_changed:(1 + List.length fresh))
   end
 
-(* The Master_fix affectedness test. A form-(2) rule grounds one step
-   per master row passing its [Master_const] selection; the step's
-   residuals are te-tests against the row's join values and its
-   action copies the row's [f2_tm_attr] value. Fixing one master cell
-   therefore changes a rule's grounding only when the rule mentions
-   the fixed attribute, and the changed step (removed old version /
-   added new version) can influence an entity's result only if every
-   [Te_master] residual value is one the entity's [te] can ever hold:
-   a value of the entity's own cells ([e_vals] — λ-refresh only
-   promotes column values), a value some rule can copy from master
-   ([assign_into]), or anything at all on an attribute that was still
-   null at the chase fixpoint ([r_chase_nulls] — top-1 completion
-   tries arbitrary active-domain values there). [te] is write-once,
-   so this reachable set is exhaustive for chase and candidate checks
-   alike. Entities whose outcome is not decided by the fixpoint
-   (quarantined, non-Church-Rosser) are provenance-sensitive — any
-   grounding change re-cleans them. *)
+(* Fixing one master cell changes a form-(2) rule's grounding only
+   when the rule mentions the fixed attribute; the changed step
+   (removed old row version / added new one) then goes through the
+   reachability test. *)
 let master_fix t ~row ~attr ~value =
   match t.master with
   | None -> Error (Robust.Error.spec_invalid "Master_fix: session has no master relation")
@@ -525,12 +538,12 @@ let master_fix t ~row ~attr ~value =
                (fun i tu -> if i = row then new_row else tu)
                (Relation.tuples m))
         in
-        (* Which rules ground differently, and through which row
-           versions? *)
+        (* The residual vectors of every row version whose step
+           appears or disappears. *)
         let changed =
-          List.filter_map
+          List.concat_map
             (function
-              | Rules.Ar.Form1 _ -> None
+              | Rules.Ar.Form1 _ -> []
               | Rules.Ar.Form2 f2 ->
                   let sel_attrs, join_attrs =
                     List.fold_left
@@ -540,29 +553,16 @@ let master_fix t ~row ~attr ~value =
                         | Rules.Ar.Te_const _ -> (sel, join))
                       ([], []) f2.Rules.Ar.f2_lhs
                   in
-                  if
-                    not
-                      (List.mem attr sel_attrs || List.mem attr join_attrs
-                     || attr = f2.Rules.Ar.f2_tm_attr)
-                  then None
+                  let nonsel =
+                    List.mem attr join_attrs || attr = f2.Rules.Ar.f2_tm_attr
+                  in
+                  if not (nonsel || List.mem attr sel_attrs) then []
                   else
-                    let sel tu =
-                      List.for_all
-                        (function
-                          | Rules.Ar.Master_const (b, op, c) ->
-                              Rules.Ar.eval_op op (Tuple.get tu b) c
-                          | _ -> true)
-                        f2.Rules.Ar.f2_lhs
-                    in
-                    let nonsel =
-                      List.mem attr join_attrs || attr = f2.Rules.Ar.f2_tm_attr
-                    in
-                    let so = sel old_row and sn = sel new_row in
-                    let versions =
-                      (if so && ((not sn) || nonsel) then [ old_row ] else [])
-                      @ if sn && ((not so) || nonsel) then [ new_row ] else []
-                    in
-                    if versions = [] then None else Some (f2, versions))
+                    let so = master_selects f2 old_row
+                    and sn = master_selects f2 new_row in
+                    List.map (residual_of f2)
+                      ((if so && ((not sn) || nonsel) then [ old_row ] else [])
+                      @ if sn && ((not so) || nonsel) then [ new_row ] else []))
             (Rules.Ruleset.rules t.ruleset)
         in
         (* The reachability probe must cover [te] values under the
@@ -583,47 +583,13 @@ let master_fix t ~row ~attr ~value =
             (Rules.Ruleset.rules t.ruleset);
         t.master <- Some m';
         t.assign_into <- None;
-        List.iter (fun e -> e.e_delta <- None) t.clusters;
+        List.iter (fun e -> e.e_rules <- None) t.clusters;
         if changed = [] then Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
-        else begin
-          let prune = Robust.Budget.is_unlimited t.budget in
-          let affected e =
-            (not prune)
-            ||
-            match e.e_result.Cleaner.r_outcome with
-            | Cleaner.Quarantined _ | Cleaner.Not_church_rosser _ -> true
-            | _ ->
-                let vals = vals_of t e in
-                let nulls = e.e_result.Cleaner.r_chase_nulls in
-                let reachable al v =
-                  (not (Value.is_null v))
-                  &&
-                  (List.mem al nulls
-                  ||
-                  let key = pack_av al (Intern.intern t.sintern v) in
-                  mem_sorted vals key || Hashtbl.mem ai key)
-                in
-                List.exists
-                  (fun (f2, versions) ->
-                    List.exists
-                      (fun tu ->
-                        List.for_all
-                          (function
-                            | Rules.Ar.Te_master (al, b) ->
-                                reachable al (Tuple.get tu b)
-                            | _ -> true)
-                          f2.Rules.Ar.f2_lhs)
-                      versions)
-                  changed
-          in
-          let dirty, clean = List.partition affected t.clusters in
-          List.iter (fun e -> reclean e t) dirty;
-          List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
+        else
+          let copyable = Lazy.from_val ai in
           Ok
-            (dreport t ~touched:(List.length dirty)
-               ~recleaned:(List.length dirty)
-               ~rows_changed:(List.length dirty))
-        end
+            (reclean_split t
+               (split_affected t (fun e -> entity_reaches t ~copyable e changed)))
       end
 
 let rule_add t rule =
@@ -639,103 +605,63 @@ let rule_add t rule =
       | Ok rs ->
           t.ruleset <- rs;
           t.assign_into <- None;
-          List.iter (fun e -> e.e_delta <- None) t.clusters;
-          let prune = Robust.Budget.is_unlimited t.budget in
+          List.iter (fun e -> e.e_rules <- None) t.clusters;
           (* A form-(2) rule grounds one step per selected master row
              {e whatever the entity} — a bare "did it ground?" probe
-             would dirty the whole session on every such rule-add.
-             Probe reachability instead: the new steps can influence
-             an entity only if some row's every [Te_master] residual
-             value is one its [te] can ever hold. The reachable set
-             must be the post-add one ([assign_into] was invalidated
-             above, so it rebuilds over the enlarged rule set — the
-             new rule's own copies count). *)
+             would dirty the whole session on every such rule-add, so
+             it goes through the reachability test, against the
+             post-add copyable set (the new rule's own copies count).
+             A form-(1) rule is ground alone against each entity: zero
+             steps means Γ is provably unchanged (the filtered pass
+             can only over-approximate), so the cached result
+             stands. *)
           let f2_residuals = f2_residual_rows t rule in
+          let copyable = lazy (assign_into t) in
           let affected e =
-            (not prune)
-            ||
             match f2_residuals with
-            | Some residual_rows -> entity_reaches t e residual_rows
+            | Some residual_rows -> entity_reaches t ~copyable e residual_rows
             | None -> (
-                match e.e_spec with
+                match ground_entity ~only:(fun r -> r == rule) t e with
                 | None -> true
-                | Some spec ->
-                    (* Ground just the new rule against this entity:
-                       zero steps means Γ is provably unchanged (the
-                       filtered pass can only over-approximate), so
-                       the cached result stands. *)
-                    Rules.Ground.packed_count
-                      (Rules.Ground.instantiate_packed_only
-                         ~only:(fun r -> r == rule)
-                         ~intern:(Core.Specification.intern spec)
-                         ~ruleset:rs ~entity:e.e_instance ~master:t.master
-                         ~orders:(Core.Specification.numbering spec))
-                    > 0)
+                | Some d -> Rules.Ground.packed_count d.Rules.Ground.d_packed > 0)
           in
-          let dirty, clean = List.partition affected t.clusters in
-          List.iter (fun e -> reclean e t) dirty;
-          List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
-          Ok
-            (dreport t ~touched:(List.length dirty)
-               ~recleaned:(List.length dirty)
-               ~rows_changed:(List.length dirty)))
+          Ok (reclean_split t (split_affected t affected)))
 
 let rule_retire t name =
-  if
-    not
-      (List.exists
-         (fun r -> Rules.Ar.name r = name)
-         (Rules.Ruleset.user_rules t.ruleset))
-  then
-    Error
-      (Robust.Error.rule_invalid
-         (Printf.sprintf "Rule_retire: no user rule named %S (axioms cannot be retired)" name))
-  else begin
-    let prune = Robust.Budget.is_unlimited t.budget in
-    (* Probe the rule-level index BEFORE swapping the rule set: an
-       entity whose current Γ carries no step of this rule (every
-       candidate step lost first-provenance dedup or never grounded)
-       keeps an identical Γ after the retire. Under demand grounding
-       the index answers [true] for every templated form-(2) rule, so
-       refine with the Master_fix reachability probe: steps whose
-       [Te_master] residuals this entity's [te] can never satisfy
-       could never have fired, and removing never-fired steps cannot
-       change a fixpoint-decided result (re-attributing their dedup
-       twins to another rule changes provenance only). *)
-    let f2_residuals =
-      match
-        List.find_opt
-          (fun r -> Rules.Ar.name r = name)
-          (Rules.Ruleset.user_rules t.ruleset)
-      with
-      | None -> None
-      | Some rule -> f2_residual_rows t rule
-    in
-    let affected e =
-      (not prune)
-      || (match delta_of t e with
-         | None -> true
-         | Some d -> Rules.Delta.mentions_rule d name)
-         &&
-         match f2_residuals with
-         | None -> true
-         | Some residual_rows -> entity_reaches t e residual_rows
-    in
-    let dirty, clean = List.partition affected t.clusters in
-    t.ruleset <- Rules.Ruleset.remove t.ruleset name;
-    t.assign_into <- None;
-    (* Every index was built against the pre-retire rule set; the
-       reachability refinement means even "clean" entries may hold a Γ
-       that mentions the removed rule's (never-fired) steps. Stale
-       indexes only over-approximate, but rebuilding lazily is cheap —
-       drop them all. *)
-    List.iter (fun e -> e.e_delta <- None) t.clusters;
-    List.iter (fun e -> reclean e t) dirty;
-    List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
-    Ok
-      (dreport t ~touched:(List.length dirty) ~recleaned:(List.length dirty)
-         ~rows_changed:(List.length dirty))
-  end
+  match
+    List.find_opt
+      (fun r -> Rules.Ar.name r = name)
+      (Rules.Ruleset.user_rules t.ruleset)
+  with
+  | None ->
+      Error
+        (Robust.Error.rule_invalid
+           (Printf.sprintf "Rule_retire: no user rule named %S (axioms cannot be retired)" name))
+  | Some rule ->
+      (* Split BEFORE swapping the rule set: an entity whose current Γ
+         names no step or template of this rule (every candidate step
+         lost first-provenance dedup or never grounded) keeps an
+         identical Γ after the retire. A templated form-(2) rule is
+         always named, so refine with the reachability test: steps
+         this entity's [te] can never satisfy could never have fired,
+         and removing never-fired steps cannot change a
+         fixpoint-decided result (re-attributing their dedup twins to
+         another rule changes provenance only). *)
+      let f2_residuals = f2_residual_rows t rule in
+      let copyable = lazy (assign_into t) in
+      let affected e =
+        (match rules_of t e with None -> true | Some names -> Hashtbl.mem names name)
+        &&
+        match f2_residuals with
+        | None -> true
+        | Some residual_rows -> entity_reaches t ~copyable e residual_rows
+      in
+      let split = split_affected t affected in
+      t.ruleset <- Rules.Ruleset.remove t.ruleset name;
+      t.assign_into <- None;
+      (* Every name set was built against the pre-retire rule set. *)
+      List.iter (fun e -> e.e_rules <- None) t.clusters;
+      Ok (reclean_split t split)
 
 let update t u =
   Obs.Span.with_ ~name:"session.update" @@ fun () ->

@@ -19,19 +19,21 @@
       instance, Γ, and result are untouched. The session maintains a
       blocking-key index to find an added tuple's candidate
       neighbours without re-blocking.
-    - {e Master_fix}: a form-(2) rule grounds one step per selected
-      master row, so the fix changes a rule's grounding only if the
-      rule mentions the fixed attribute; the changed step can change
-      an entity only if its [Te_master] join values are ones that
-      entity's write-once [te] can ever hold (own cell values, values
-      copyable from master, or anything on a chase-null attribute).
-      Both row versions (removed old / added new) are tested.
-    - {e Rule_add}: the new rule alone is delta-grounded per entity
-      ({!Rules.Ground.instantiate_packed_only}); zero steps proves Γ
-      unchanged.
-    - {e Rule_retire}: the per-entity delta-store index
-      ({!Rules.Delta}) answers whether any current ground step
-      carries the rule's provenance; if not, Γ survives unchanged.
+    - {e Master_fix}, {e Rule_add}, {e Rule_retire}: one
+      reachability test. A form-(2) step can change an entity only if
+      its [Te_master] join values are ones that entity's write-once
+      [te] can ever hold (own cell values, values copyable from
+      master, or anything on a chase-null attribute). A master fix
+      changes a rule's steps only if the rule mentions the fixed
+      attribute, and both row versions (removed old / added new) are
+      tested. An added or retired form-(2) rule tests the steps it
+      grounds over the whole master.
+    - {e Rule_add} of a form-(1) rule: the new rule alone is ground
+      against each entity ({!Rules.Ground.instantiate_demand} with
+      [~only]); zero steps proves Γ unchanged.
+    - {e Rule_retire}: each entity caches the names of the rules
+      behind its current Γ (step provenance plus deferred templates);
+      an entity whose Γ does not name the rule survives unchanged.
 
     Under a {e finite} budget the master/rule analyses are disabled
     (every entity re-cleans): budgets charge |Γ| up front, so even a

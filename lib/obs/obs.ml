@@ -15,7 +15,9 @@ let on = Atomic.make false
 let enabled () = Atomic.get on
 let set_enabled b = Atomic.set on b
 
-let now_ms () = Unix.gettimeofday () *. 1000.0
+(* Span times come from the monotonic clock, so an NTP step can
+   neither stretch nor shrink a recorded duration. *)
+let now_ms = Util.Timing.mono_ms
 let epoch_ms = now_ms ()
 
 (* A monotone float cell: [fmax] keeps the maximum, [fadd] the sum.

@@ -15,8 +15,9 @@
     CLI's [--metrics]/[--trace] flags do) turns collection on.
 
     The library deliberately depends on nothing but the stdlib and
-    [Unix.gettimeofday] (the same clock {!Robust.Budget} deadlines
-    use), so it can sit below every other layer of the system.
+    the monotonic clock {!Util.Timing.mono_ms} (the clock
+    {!Robust.Budget} deadlines use), so it can sit below every other
+    layer of the system.
 
     {b Domain safety}: the registry is safe to mutate from any
     number of domains concurrently (the {!Parallel} worker pool

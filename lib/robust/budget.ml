@@ -55,6 +55,9 @@ let start ?(clock = Util.Timing.mono_ms) lim =
     trip = None;
   }
 
+let with_max_steps t n =
+  { t with lim = { t.lim with max_steps = Some n }; steps = 0; trip = None }
+
 let steps_used t = t.steps
 let tripped t = t.trip
 let limits_of t = t.lim

@@ -44,6 +44,11 @@ val start : ?clock:(unit -> float) -> limits -> t
     spuriously trip nor silently extend it. [clock] overrides the
     source {e for tests only} — it must be non-decreasing. *)
 
+val with_max_steps : t -> int -> t
+(** A fresh meter with its own step count capped at [n], sharing the
+    original's clock, start time and deadline — a sub-budget for one
+    phase that must still stop at the caller's deadline. *)
+
 val step : t -> Error.trip option
 (** Charge one unit of work; [Some trip] once exhausted (sticky). *)
 

@@ -581,7 +581,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
      ground steps are needed to decide whether the entity's Γ grows
      at all. The filter runs once per rule, outside the hot loops.
      [demand] holds form-(2) rules with a [Te_master] conjunct back
-     as templates instead of grounding them per master row. *)
+     as templates instead of grounding them per master row; without
+     it every rule grounds eagerly (the test reference). *)
   let rules = List.filter only (Ruleset.rules ruleset) in
   let n = Relation.size entity in
   let arity = Array.length orders in
@@ -1211,9 +1212,6 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   Array.fill sc.s_avals 0 !navals Value.null;
   (pk, Array.of_list (List.rev !templates))
 
-let instantiate_packed_only ~only ~intern ~ruleset ~entity ~master ~orders =
-  fst (instantiate_gen ~demand:false ~only ~intern ~ruleset ~entity ~master ~orders)
-
 type demand = { d_packed : packed; d_templates : template array }
 
 let instantiate_demand ?(only = fun _ -> true) ~intern ~ruleset ~entity ~master
@@ -1252,28 +1250,6 @@ let packed_actions pk =
        else Add_order { attr; c1 = unpack_x pact; c2 = unpack_y pact })
   done;
   out
-
-(* Appending packed arenas is pure index arithmetic: predicate
-   offsets of the second block shift by the first block's word count,
-   and [Assign] spellings concatenate because both decoders above
-   consume the aval arena in emission order, never via stored
-   indices. *)
-let packed_append a b =
-  if a.pk_intern != b.pk_intern then
-    invalid_arg "Ground.packed_append: arenas use different intern tables";
-  let off = Array.length a.pk_preds in
-  let rec2 = Array.copy b.pk_rec in
-  for i = 0 to b.pk_count - 1 do
-    rec2.((3 * i) + 1) <- rec2.((3 * i) + 1) + off
-  done;
-  {
-    pk_intern = a.pk_intern;
-    pk_count = a.pk_count + b.pk_count;
-    pk_rec = Array.append a.pk_rec rec2;
-    pk_preds = Array.append a.pk_preds b.pk_preds;
-    pk_names = Array.append a.pk_names b.pk_names;
-    pk_avals = Array.append a.pk_avals b.pk_avals;
-  }
 
 (* Materialize [step] records: walk the arrays backward so the list
    comes out in emission (sid) order without a [List.rev] pass.
@@ -1422,10 +1398,6 @@ let arena_create pk templates =
     a_srt = Array.make 32 0;
   }
 
-let arena_base a = a.a_pk.pk_count
-let arena_ext_count a = a.x_count
-let arena_count a = a.a_pk.pk_count + a.x_count
-let arena_templates a = a.a_templates
 let arena_template a tid = a.a_templates.(tid)
 
 (* Materialize the steps of template [tid] over the given master
@@ -1572,32 +1544,10 @@ let arena_step a sid =
     action = arena_action a sid;
   }
 
-(* Freeze the arena into one self-contained packed block — the
-   session-extension path compiles against packed arenas, so a live
-   run's materialized tail folds back into the eager numbering before
-   any append. Sid order, and hence every slot table, is preserved. *)
-let arena_freeze a =
-  if a.x_count = 0 then a.a_pk
-  else begin
-    let pk = a.a_pk in
-    let off = Array.length pk.pk_preds in
-    let rec2 = Array.sub a.x_rec 0 (3 * a.x_count) in
-    for i = 0 to a.x_count - 1 do
-      rec2.((3 * i) + 1) <- rec2.((3 * i) + 1) + off
-    done;
-    {
-      pk_intern = pk.pk_intern;
-      pk_count = pk.pk_count + a.x_count;
-      pk_rec = Array.append pk.pk_rec rec2;
-      pk_preds = Array.append pk.pk_preds (Array.sub a.x_preds 0 a.x_plen);
-      pk_names = Array.append pk.pk_names (Array.sub a.x_names 0 a.x_count);
-      pk_avals = Array.append pk.pk_avals (Array.sub a.x_avals 0 a.x_count);
-    }
-  end
-
 let instantiate_packed ~intern ~ruleset ~entity ~master ~orders =
-  instantiate_packed_only ~only:(fun _ -> true) ~intern ~ruleset ~entity ~master
-    ~orders
+  fst
+    (instantiate_gen ~demand:false ~only:(fun _ -> true) ~intern ~ruleset ~entity
+       ~master ~orders)
 
 let instantiate ~intern ~ruleset ~entity ~master ~orders =
   steps_of_packed (instantiate_packed ~intern ~ruleset ~entity ~master ~orders)

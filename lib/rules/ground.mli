@@ -62,26 +62,12 @@ val instantiate_packed :
   master:Relational.Relation.t option ->
   orders:Ordering.Attr_order.numbering array ->
   packed
-(** Γ without record materialization — see {!instantiate} for the
+(** Eager Γ without record materialization: every form-(2) rule
+    grounds one step per master row. See {!instantiate} for the
     instantiation semantics; the two entry points share the whole
-    emission pipeline and produce identical step sequences. *)
-
-val instantiate_packed_only :
-  only:(Ar.t -> bool) ->
-  intern:Relational.Intern.t ->
-  ruleset:Ruleset.t ->
-  entity:Relational.Relation.t ->
-  master:Relational.Relation.t option ->
-  orders:Ordering.Attr_order.numbering array ->
-  packed
-(** {!instantiate_packed} restricted to the rules [only] accepts
-    (axioms included in the scan) — the {e delta} entry point:
-    grounding just an added rule against a live entity decides
-    whether its Γ grows without re-instantiating the rest of Σ. Note
-    that dedup then only sees the filtered rules, so a step
-    duplicating one of an excluded rule is emitted here even though a
-    full instantiation would have deduplicated it — callers treat a
-    non-empty delta as "possibly affected", which stays sound. *)
+    emission pipeline and produce identical step sequences. The
+    production path grounds through {!instantiate_demand}; this one
+    is the reference it is tested against. *)
 
 type template
 (** One form-(2) rule held back from eager grounding (demand mode):
@@ -94,8 +80,7 @@ type template
     no [Te_master] conjunct never defer. *)
 
 val template_id : template -> int
-(** Dense per-grounding id, [0 .. n_templates-1] — stable under
-    session extension (templates are never re-numbered). *)
+(** Dense per-grounding id, [0 .. n_templates-1]. *)
 
 val template_name : template -> string
 (** Provenance: the rule's name. *)
@@ -128,8 +113,16 @@ val instantiate_demand :
     set, with the same dedup classes and first-provenance-wins
     spellings, as the eager path — restricted to steps whose join
     keys the run actually produced (no other deferred step can ever
-    fire). [only] restricts the rule set as in
-    {!instantiate_packed_only}. *)
+    fire). Without a master no rule defers, and the packed Γ equals
+    {!instantiate_packed}'s.
+
+    [only] restricts the instantiated rules (axioms included in the
+    filter): grounding just an added rule against a live entity
+    decides whether its Γ can grow without re-instantiating the rest
+    of Σ. Dedup then only sees the filtered rules, so a step
+    duplicating one of an excluded rule is emitted even though a full
+    instantiation would drop it — callers treat a non-empty result as
+    "possibly affected", which stays sound. *)
 
 type arena
 (** The growable tail of a packed Γ: a frozen eager prefix plus steps
@@ -143,16 +136,6 @@ val arena_create : packed -> template array -> arena
     the prefix's [Assign] keys, so materialization reproduces the
     eager path's first-provenance-wins dedup exactly. *)
 
-val arena_base : arena -> int
-(** Size of the frozen eager prefix. *)
-
-val arena_ext_count : arena -> int
-(** Materialized steps so far. *)
-
-val arena_count : arena -> int
-(** Total steps: [arena_base + arena_ext_count]. *)
-
-val arena_templates : arena -> template array
 val arena_template : arena -> int -> template
 
 val arena_materialize :
@@ -182,12 +165,6 @@ val arena_step : arena -> int -> step
 (** Decoded record of a {e materialized} step — the cold provenance/
     trace path. *)
 
-val arena_freeze : arena -> packed
-(** The whole arena as one self-contained packed block, sid order
-    preserved — the session-extension path folds a live run's
-    materialized tail back into the eager numbering before appending
-    a delta. Returns the prefix itself when nothing materialized. *)
-
 val packed_count : packed -> int
 (** |Γ|. *)
 
@@ -205,14 +182,6 @@ val packed_actions : packed -> action array
 (** The decoded action of every step, indexed by [sid]. [Assign]
     actions carry the master row's own value spelling, exactly as in
     the [step] records. *)
-
-val packed_append : packed -> packed -> packed
-(** Concatenate two packed arenas: the result's steps are [a]'s
-    followed by [b]'s, sids renumbered accordingly. Both must have
-    been grounded with the {e same} intern table (physical equality —
-    raises [Invalid_argument] otherwise); no cross-block dedup is
-    performed, mirroring {!instantiate_packed_only}'s contract. This
-    is how a live session splices a delta Γ onto its compiled base. *)
 
 val steps_of_packed : packed -> step list
 (** The [step] records of a packed Γ, in [sid] order, with shared

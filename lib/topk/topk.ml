@@ -50,52 +50,51 @@ let solve ?(algo = `Ct) ?snapshot ?include_default ?max_pops ?budget ~k ~pref co
     match empty_domain with
     | Some e -> Error e
     | None ->
-        (* One pop cap for the heap-driven algorithms: the explicit
-           [max_pops] wins; otherwise an armed meter's step limit is
-           translated (RankJoinCT consumes the meter directly, so it
-           also honours deadlines). *)
-        let cap =
+        (* TopKCT and TopKCTh charge one meter: an explicit
+           [max_pops] becomes its step cap (keeping the caller's
+           deadline), otherwise the caller's meter applies as is. *)
+        let meter =
           match (max_pops, budget) with
-          | Some _, _ -> max_pops
-          | None, Some b -> (Robust.Budget.limits_of b).Robust.Budget.max_steps
-          | None, None -> None
-        in
-        let capped_exhaustion pulls found =
-          match cap with
-          | Some c when pulls >= c && found < k -> Some Robust.Error.Steps
-          | _ -> None
+          | Some n, Some b -> Some (Robust.Budget.with_max_steps b n)
+          | Some n, None ->
+              Some (Robust.Budget.start (Robust.Budget.limits ~max_steps:n ()))
+          | None, b -> b
         in
         Ok
           (match algo with
           | `Ct ->
               let r =
-                Topk_ct.run ?snapshot ?include_default ?max_pops:cap ~k ~pref
+                Topk_ct.run ?snapshot ?include_default ?budget:meter ~k ~pref
                   compiled te
               in
               {
                 targets = r.Topk_ct.targets;
-                exhausted =
-                  capped_exhaustion r.Topk_ct.stats.Topk_ct.queue_pops
-                    (List.length r.Topk_ct.targets);
+                exhausted = r.Topk_ct.exhausted;
                 checks = r.Topk_ct.stats.Topk_ct.checks;
                 pulls = r.Topk_ct.stats.Topk_ct.queue_pops;
               }
           | `Ct_h ->
               let r =
-                Topk_ct_h.run ?snapshot ?include_default ?max_pops:cap ~k ~pref
+                Topk_ct_h.run ?snapshot ?include_default ?budget:meter ~k ~pref
                   compiled te
               in
               {
                 targets = r.Topk_ct_h.targets;
-                exhausted =
-                  capped_exhaustion r.Topk_ct_h.stats.Topk_ct_h.seeds
-                    (List.length r.Topk_ct_h.targets);
+                exhausted = r.Topk_ct_h.exhausted;
                 checks = r.Topk_ct_h.stats.Topk_ct_h.checks;
                 pulls = r.Topk_ct_h.stats.Topk_ct_h.seeds;
               }
           | `Rank_join ->
+              (* RankJoinCT consumes the caller's meter directly, and the
+                 pop cap — explicit, or the meter's step limit — caps
+                 its pulls. *)
+              let max_pulls =
+                match (max_pops, budget) with
+                | None, Some b -> (Robust.Budget.limits_of b).Robust.Budget.max_steps
+                | _ -> max_pops
+              in
               let r =
-                Rank_join_ct.run ?snapshot ?include_default ?max_pulls:cap ?budget
+                Rank_join_ct.run ?snapshot ?include_default ?max_pulls ?budget
                   ~k ~pref compiled te
               in
               {

@@ -60,9 +60,11 @@ val solve :
     snapshot delta rather than a from-scratch chase.
 
     [max_pops] caps frontier pops (TopKCT/TopKCTh) or list pulls and
-    combinations (RankJoinCT); [budget] additionally imposes an
-    armed meter — wall-clock deadlines are only enforced by
-    [`Rank_join] (the others translate the meter's step cap).
+    combinations (RankJoinCT); without it, [budget]'s step cap plays
+    that role. Every algorithm also honours [budget]'s wall-clock
+    deadline: TopKCT/TopKCTh check it per frontier pop (and TopKCTh
+    before each seed repair), RankJoinCT per join combination. A
+    tripped cap or deadline is reported in [exhausted].
 
     Errors instead of exceptions: [k < 1] and (with
     [~include_default:false]) an empty active domain for a null

@@ -19,6 +19,7 @@ type stats = {
 type result = {
   targets : Value.t array list;
   stats : stats;
+  exhausted : Robust.Error.trip option;
 }
 
 (* Growable buffer B_i of already-popped domain values (Fig. 5 keeps
@@ -61,7 +62,7 @@ let zkey zattrs values =
   String.concat "\x00"
     (List.map (fun a -> Preference.value_key values.(a)) (Array.to_list zattrs))
 
-let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled te =
+let run ?(check = true) ?snapshot ?include_default ?budget ~k ~pref compiled te =
   if k < 1 then invalid_arg "Topk_ct.run: k < 1";
   let spec = Core.Is_cr.compiled_spec compiled in
   let heap_pops = ref 0
@@ -87,7 +88,7 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled t
       ok
     end
   in
-  let finish targets =
+  let finish ?exhausted targets =
     {
       targets = List.rev targets;
       stats =
@@ -97,6 +98,7 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled t
           checks = !checks;
           enumerated = !enumerated;
         };
+      exhausted;
     }
   in
   let zattrs =
@@ -152,49 +154,54 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled t
     Hashtbl.add seen (zkey zattrs seed.values) ();
     incr enumerated;
     let queue = ref (Pqueue.Brodal_queue.insert seed (Pqueue.Brodal_queue.empty ~cmp:obj_cmp)) in
-    let budget_left () =
-      match max_pops with None -> true | Some b -> !queue_pops < b
+    (* One meter unit per frontier pop; the meter's deadline rides
+       along. *)
+    let charge () =
+      match budget with None -> None | Some b -> Robust.Budget.step b
     in
     let rec loop targets found =
-      if found >= k || not (budget_left ()) then finish targets
+      if found >= k then finish targets
       else
-        match Pqueue.Brodal_queue.pop !queue with
-        | None -> finish targets
-        | Some (o, q') ->
-            queue := q';
-            incr queue_pops;
-            Obs.Counter.incr m_pops;
-            let targets, found =
-              if verify o.values then (Array.copy o.values :: targets, found + 1)
-              else (targets, found)
-            in
-            (* Expand: advance each attribute position by one. *)
-            for i = 0 to m - 1 do
-              let next = o.pos.(i) + 1 in
-              let available =
-                next < Vec.length buffers.(i)
-                || (Vec.length buffers.(i) = next && pop_heap i)
-              in
-              if available then begin
-                let v, w_new = Vec.get buffers.(i) next in
-                let values = Array.copy o.values in
-                let attr = zattrs.(i) in
-                let _, w_old = Vec.get buffers.(i) o.pos.(i) in
-                values.(attr) <- v;
-                let key = zkey zattrs values in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  incr enumerated;
-                  let pos = Array.copy o.pos in
-                  pos.(i) <- next;
-                  let o' = { values; pos; w = o.w -. w_old +. w_new } in
-                  queue := Pqueue.Brodal_queue.insert o' !queue;
-                  Obs.Gauge.observe_max m_hwm
-                    (float_of_int (Pqueue.Brodal_queue.size !queue))
-                end
-              end
-            done;
-            loop targets found
+        match charge () with
+        | Some trip -> finish ~exhausted:trip targets
+        | None -> (
+            match Pqueue.Brodal_queue.pop !queue with
+            | None -> finish targets
+            | Some (o, q') ->
+                queue := q';
+                incr queue_pops;
+                Obs.Counter.incr m_pops;
+                let targets, found =
+                  if verify o.values then (Array.copy o.values :: targets, found + 1)
+                  else (targets, found)
+                in
+                (* Expand: advance each attribute position by one. *)
+                for i = 0 to m - 1 do
+                  let next = o.pos.(i) + 1 in
+                  let available =
+                    next < Vec.length buffers.(i)
+                    || (Vec.length buffers.(i) = next && pop_heap i)
+                  in
+                  if available then begin
+                    let v, w_new = Vec.get buffers.(i) next in
+                    let values = Array.copy o.values in
+                    let attr = zattrs.(i) in
+                    let _, w_old = Vec.get buffers.(i) o.pos.(i) in
+                    values.(attr) <- v;
+                    let key = zkey zattrs values in
+                    if not (Hashtbl.mem seen key) then begin
+                      Hashtbl.add seen key ();
+                      incr enumerated;
+                      let pos = Array.copy o.pos in
+                      pos.(i) <- next;
+                      let o' = { values; pos; w = o.w -. w_old +. w_new } in
+                      queue := Pqueue.Brodal_queue.insert o' !queue;
+                      Obs.Gauge.observe_max m_hwm
+                        (float_of_int (Pqueue.Brodal_queue.size !queue))
+                    end
+                  end
+                done;
+                loop targets found)
     in
     loop [] 0
   end

@@ -27,13 +27,17 @@ type result = {
   targets : Relational.Value.t array list;
       (** up to [k] candidate targets, best score first *)
   stats : stats;
+  exhausted : Robust.Error.trip option;
+      (** [Some _] when the [budget] meter tripped before the search
+          found [k] targets or proved no more exist; the targets are
+          then the best found so far *)
 }
 
 val run :
   ?check:bool ->
   ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
-  ?max_pops:int ->
+  ?budget:Robust.Budget.t ->
   k:int ->
   pref:Preference.t ->
   Core.Is_cr.compiled ->
@@ -49,12 +53,14 @@ val run :
     the caller to amortise across runs), so each candidate costs one
     snapshot delta rather than a from-scratch chase.
 
-    [max_pops] bounds frontier pops. §6.2 notes that when the
+    [budget] is charged one unit per frontier pop: its step cap
+    bounds the pops and its deadline the wall time, and whichever
+    trips first stops the search. §6.2 notes that when the
     specification has fewer than [k] candidate targets, TopKCT
     "would inevitably exhaust the entire search space", which is
-    exponential; the experiment harness passes a budget so such
-    pathological entities return their partial result instead.
-    Unbounded by default (exact).
+    exponential; callers pass a budget so such pathological entities
+    return their partial result instead. Unbounded by default
+    (exact).
 
     Raises [Invalid_argument] if [k < 1] or some null attribute has
     an empty active domain. *)

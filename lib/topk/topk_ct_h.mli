@@ -27,16 +27,21 @@ type stats = {
 type result = {
   targets : Relational.Value.t array list;
   stats : stats;
+  exhausted : Robust.Error.trip option;
+      (** [Some _] when the [budget] meter tripped during the seed
+          enumeration or the repairs *)
 }
 
 val run :
   ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
-  ?max_pops:int ->
+  ?budget:Robust.Budget.t ->
   k:int ->
   pref:Preference.t ->
   Core.Is_cr.compiled ->
   Relational.Value.t array ->
   result
 (** Same contract as {!Topk_ct.run} (including the shared chase
-    snapshot; the check-free seed enumeration never builds one). *)
+    snapshot; the check-free seed enumeration never builds one). The
+    seed enumeration charges [budget] per frontier pop, and each seed
+    repair first checks the meter's deadline. *)

@@ -13,8 +13,7 @@ cd "$(dirname "$0")/.."
 
 offenders=$(grep -rnE \
   '(^|[^._[:alnum:]])(Printf\.sprintf|String\.concat)([^_[:alnum:]]|$)' \
-  lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
-  lib/rules/delta.ml || true)
+  lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml || true)
 
 if [ -n "$offenders" ]; then
   echo "string allocation on a chase hot path (key structurally instead):" >&2
@@ -29,14 +28,14 @@ fi
 # Value-keyed table) reintroduces the wall this removed — and a
 # polymorphic hash on Value.t is also WRONG, because it splits the
 # Int/Float spellings that Value.compare unifies. Intern at the
-# boundary, probe by id inside. The delta store (Rules.Delta) and the
-# session's update path (Framework.Session) live on the same interned
-# ids — a structural hash there would drag every single-tuple update
-# back through Value.t traversals.
+# boundary, probe by id inside. The session's update path
+# (Framework.Session) lives on the same interned ids — a structural
+# hash there would drag every single-tuple update back through
+# Value.t traversals.
 interning=$(grep -rnE \
   '(^|[^._[:alnum:]])(Hashtbl\.hash|Value\.hash|Hashtbl\.Make \(Value\))' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
-  lib/core/instance.ml lib/rules/delta.ml lib/framework/session.ml || true)
+  lib/core/instance.ml lib/framework/session.ml || true)
 
 if [ -n "$interning" ]; then
   echo "structural Value.t hashing on an interned hot path (use interned ids):" >&2

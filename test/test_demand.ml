@@ -1,7 +1,7 @@
-(* Demand-driven grounding (Is_cr.compile ~grounding:`Demand): the
-   equivalence property that justifies making it the default — every
-   observable of a clean (reports, verdicts, targets, top-k output)
-   is byte-identical to the eager reference — plus a directed
+(* Demand-driven grounding (Is_cr.compile) against the eager
+   reference (Is_cr.compile_eager): the equivalence properties that
+   justify demand grounding as the only production path — verdicts,
+   targets and top-k output are byte-identical — plus a directed
    regression for the chase-null/active-domain residual case and a
    pinned touched-count over a seeded update stream (the
    over-dirtying regression guard). *)
@@ -82,28 +82,52 @@ let report_diff (a : Framework.Cleaner.report) (b : Framework.Cleaner.report) =
         else None
 
 (* ------------------------------------------------------------------ *)
-(* Property: demand cleaning == eager cleaning                        *)
+(* Property: demand == eager, entity by entity                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The calls [Cleaner.process_entity] makes after ER: chase, then a
+   top-1 completion under the same pop cap and preference. *)
+let clean_entity ~pref c =
+  match Is_cr.run_compiled c with
+  | Is_cr.Not_church_rosser { rule; _ } -> Error rule
+  | Is_cr.Church_rosser inst -> (
+      let te = Core.Instance.te inst in
+      match Topk.solve ~algo:`Ct ~max_pops:2000 ~k:1 ~pref c te with
+      | Ok o -> Ok (te, o.Topk.targets)
+      | Error e ->
+          QCheck.Test.fail_reportf "topk failed: %s" (Robust.Error.to_string e))
+
+let same_values = Array.for_all2 Value.equal
 
 let demand_clean_equals_eager =
   QCheck.Test.make ~count:8
-    ~name:"demand-ground clean report == eager-ground clean report"
+    ~name:"demand-ground clean report == eager-ground, entity by entity"
     QCheck.(pair (int_range 6 16) (int_range 1 10_000))
     (fun (entities, seed) ->
       let ds = Datagen.Med_gen.dataset ~entities ~seed () in
-      let er = er_of ds in
       let dirty = Datagen.Update_gen.flatten ds in
-      let eager =
-        Framework.Cleaner.clean ~er ~grounding:`Eager ~master:ds.master
-          ds.ruleset dirty
-      in
-      let demand =
-        Framework.Cleaner.clean ~er ~grounding:`Demand ~master:ds.master
-          ds.ruleset dirty
-      in
-      match report_diff eager demand with
-      | None -> true
-      | Some d -> QCheck.Test.fail_reportf "reports diverged: %s" d)
+      List.for_all
+        (fun members ->
+          let instance =
+            Relation.make (Relation.schema dirty)
+              (List.map (Relation.tuple dirty) members)
+          in
+          match Spec.make ~entity:instance ~master:ds.master ds.ruleset with
+          | Error e -> QCheck.Test.fail_reportf "spec rejected: %s" e
+          | Ok spec -> (
+              let pref = Topk.Preference.of_occurrences instance in
+              match
+                ( clean_entity ~pref (Is_cr.compile_eager spec),
+                  clean_entity ~pref (Is_cr.compile spec) )
+              with
+              | Error r1, Error r2 when r1 = r2 -> true
+              | Ok (te1, k1), Ok (te2, k2)
+                when same_values te1 te2
+                     && List.length k1 = List.length k2
+                     && List.for_all2 same_values k1 k2 ->
+                  true
+              | _ -> QCheck.Test.fail_report "verdict, target or top-k differ"))
+        (Er.Resolver.cluster (er_of ds) dirty))
 
 (* The Syn workload is the skewed case the residual index is for: a
    master far larger than any entity's reachable slice (random domain
@@ -117,8 +141,8 @@ let demand_syn_equals_eager =
     QCheck.(pair (int_range 1 1_000) (int_range 100 400))
     (fun (seed, im) ->
       let syn = Datagen.Syn_gen.dataset ~ie:60 ~im ~sigma:30 ~seed () in
-      let ce = Is_cr.compile ~grounding:`Eager syn.spec in
-      let cd = Is_cr.compile ~grounding:`Demand syn.spec in
+      let ce = Is_cr.compile_eager syn.spec in
+      let cd = Is_cr.compile syn.spec in
       if Is_cr.compiled_template_count cd = 0 then
         QCheck.Test.fail_report "Syn rules produced no templates";
       let te c =
@@ -128,7 +152,7 @@ let demand_syn_equals_eager =
             QCheck.Test.fail_reportf "not CR (%s: %s)" rule reason
       in
       let tee = te ce and ted = te cd in
-      if not (Array.for_all2 Value.equal tee ted) then
+      if not (same_values tee ted) then
         QCheck.Test.fail_report "terminal targets differ";
       let solve c =
         match Topk.solve ~algo:`Ct ~k:2 ~pref:syn.pref c tee with
@@ -138,7 +162,7 @@ let demand_syn_equals_eager =
       in
       let se = solve ce and sd = solve cd in
       List.length se = List.length sd
-      && List.for_all2 (Array.for_all2 Value.equal) se sd
+      && List.for_all2 same_values se sd
       || QCheck.Test.fail_report "top-k targets differ")
 
 (* ------------------------------------------------------------------ *)
@@ -193,8 +217,8 @@ let test_null_residual_materializes () =
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let spec = null_case () in
-  let ce = Is_cr.compile ~grounding:`Eager spec in
-  let cd = Is_cr.compile ~grounding:`Demand spec in
+  let ce = Is_cr.compile_eager spec in
+  let cd = Is_cr.compile spec in
   check int "one template" 1 (Is_cr.compiled_template_count cd);
   check bool "deferral counted" true
     (counter "instantiation_steps_deferred_total" > 0);

@@ -1,8 +1,9 @@
 (* The incremental-cleaning session (Framework.Session): the
    property that justifies the whole delta store — after any valid
    update stream, the maintained report is byte-identical to a
-   from-scratch clean of the final state — plus unit coverage of the
-   Rules.Delta index and the rule retire/re-add rollback. *)
+   from-scratch clean of the final state — plus directed coverage of
+   the rule-level affectedness decisions and the rule retire/re-add
+   rollback. *)
 
 open Alcotest
 module Rel = Relational
@@ -206,71 +207,38 @@ let test_rule_retire_rollback () =
   check_reports_equal "retire + re-add did not roll back" r0 (Sess.report s)
 
 (* ------------------------------------------------------------------ *)
-(* The Rules.Delta index                                              *)
+(* Rule-level affectedness: a renamed twin rule                       *)
 (* ------------------------------------------------------------------ *)
 
-let delta_fixture () =
-  let ds = Datagen.Med_gen.dataset ~entities:4 ~seed:23 () in
-  let e = List.hd ds.entities in
-  let spec = Datagen.Entity_gen.spec_for ds e in
-  let intern = Core.Specification.intern spec in
-  let orders = Core.Specification.numbering spec in
-  let pk =
-    Rules.Ground.instantiate_packed ~intern
-      ~ruleset:(Core.Specification.ruleset spec)
-      ~entity:(Core.Specification.entity spec)
-      ~master:(Core.Specification.master spec)
-      ~orders
+(* A renamed copy of a form-(1) rule grounds exactly the steps of its
+   original, so every step of the twin loses first-provenance dedup.
+   Adding it cannot rule that out without a full grounding and must
+   re-clean every entity the twin alone grounds on; retiring it must
+   find no step or template named after it and touch nothing. *)
+let test_twin_rule_add_retire () =
+  let ds = Datagen.Med_gen.dataset ~entities:40 ~seed:97 () in
+  let er = er_of ds in
+  let s =
+    Sess.create ~er ~master:ds.master ds.ruleset (Datagen.Update_gen.flatten ds)
   in
-  (pk, Rules.Delta.of_packed ~intern ~orders pk, intern)
-
-let test_delta_counts_and_rules () =
-  let pk, d, _ = delta_fixture () in
-  let n = Rules.Ground.packed_count pk in
-  check int "steps = |packed|" n (Rules.Delta.steps d);
-  check bool "a non-empty gamma indexes some rule" true
-    (n = 0 || Rules.Delta.rules d <> []);
-  (* The rule partition is exact: every sid appears under exactly the
-     rule the packed arena says won its provenance. *)
-  let seen = Array.make n false in
-  List.iter
-    (fun r ->
-      check bool "indexed rule answers mentions_rule" true
-        (Rules.Delta.mentions_rule d r);
-      List.iter
-        (fun sid ->
-          check string "sid filed under its provenance rule" r
-            (Rules.Ground.packed_rule_name pk sid);
-          check bool "no sid filed twice" false seen.(sid);
-          seen.(sid) <- true)
-        (Rules.Delta.steps_of_rule d r))
-    (Rules.Delta.rules d);
-  Array.iteri
-    (fun sid covered -> check bool (Printf.sprintf "sid %d indexed" sid) true covered)
-    seen;
-  check bool "absent rule" false (Rules.Delta.mentions_rule d "no-such-rule");
-  check (list int) "absent rule has no steps" []
-    (Rules.Delta.steps_of_rule d "no-such-rule")
-
-let test_delta_vid_index () =
-  let _, d, intern = delta_fixture () in
-  let vids = Rules.Delta.vids d in
-  let rec ascending = function
-    | a :: (b :: _ as t) -> a < b && ascending t
-    | _ -> true
+  let twin =
+    match Rules.Ruleset.find ds.ruleset "dep:batchNo->price" with
+    | Some (Rules.Ar.Form1 f) ->
+        Rules.Ar.Form1 { f with f1_name = "dep:batchNo->price:twin" }
+    | _ -> fail "Med_gen lost its dep:batchNo->price rule"
   in
-  check bool "vids ascend strictly" true (ascending vids);
-  List.iter
-    (fun v ->
-      check bool "listed vid answers mentions_vid" true
-        (Rules.Delta.mentions_vid d v);
-      check bool "listed vid has steps" true (Rules.Delta.steps_of_vid d v <> []))
-    vids;
-  (* An id the table has never handed out is never mentioned. *)
-  let unknown = Rel.Intern.size intern + 17 in
-  check bool "unknown vid" false (Rules.Delta.mentions_vid d unknown);
-  check (list int) "unknown vid has no steps" []
-    (Rules.Delta.steps_of_vid d unknown)
+  (match Sess.update s (Sess.Rule_add twin) with
+  | Ok d ->
+      check int "entities" 42 d.Sess.d_entities;
+      check int "add touches the entities the twin grounds on" 26
+        d.Sess.d_touched
+  | Error e -> failf "add rejected: %s" (Robust.Error.to_string e));
+  let r_added = Sess.report s in
+  (match Sess.update s (Sess.Rule_retire "dep:batchNo->price:twin") with
+  | Ok d -> check int "retire touches nothing" 0 d.Sess.d_touched
+  | Error e -> failf "retire rejected: %s" (Robust.Error.to_string e));
+  check_reports_equal "retire changed the report" r_added (Sess.report s);
+  check_reports_equal "retired state diverged" (Sess.report s) (batch_of ~er s)
 
 let () =
   Alcotest.run "session"
@@ -286,10 +254,7 @@ let () =
             test_rejections_are_stateless;
           test_case "rule retire/re-add rolls back" `Quick
             test_rule_retire_rollback;
-        ] );
-      ( "delta-index",
-        [
-          test_case "rule partition" `Quick test_delta_counts_and_rules;
-          test_case "vid index" `Quick test_delta_vid_index;
+          test_case "renamed twin rule add/retire" `Quick
+            test_twin_rule_add_retire;
         ] );
     ]

@@ -159,9 +159,42 @@ let test_topkct_k_validation () =
 let test_topkct_budget () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct.run ~max_pops:1 ~k:10 ~pref:p compiled te in
+  let budget = Robust.Budget.start (Robust.Budget.limits ~max_steps:1 ()) in
+  let r = Topk.Private.Topk_ct.run ~budget ~k:10 ~pref:p compiled te in
   check Alcotest.bool "budget respected" true (r.stats.queue_pops <= 1);
   check Alcotest.bool "partial result" true (List.length r.targets <= 1)
+
+(* A deadline with no step cap must stop both heap-driven algorithms.
+   The fake clock advances 1 ms per read, so a 2.5 ms deadline trips
+   on the third frontier pop, long before k = 10 targets or the end
+   of the search. *)
+let test_topk_deadline () =
+  let compiled, te = example9 () in
+  let p = Pref.of_occurrences Mj.stat in
+  let trip_name = function
+    | Some t -> Robust.Error.trip_to_string t
+    | None -> "none"
+  in
+  List.iter
+    (fun (algo, max_pops) ->
+      let now = ref 0.0 in
+      let clock () =
+        now := !now +. 1.0;
+        !now
+      in
+      let budget =
+        Robust.Budget.start ~clock (Robust.Budget.limits ~deadline_ms:2.5 ())
+      in
+      let name = Topk.algo_name algo in
+      match Topk.solve ~algo ?max_pops ~budget ~k:10 ~pref:p compiled te with
+      | Ok o ->
+          check Alcotest.string (name ^ " reports the deadline")
+            (Robust.Error.trip_to_string Robust.Error.Deadline)
+            (trip_name o.Topk.exhausted);
+          check Alcotest.bool (name ^ " stops at the deadline") true
+            (o.Topk.pulls <= 2)
+      | Error e -> Alcotest.failf "%s: %s" name (Robust.Error.to_string e))
+    [ (`Ct, None); (`Ct_h, None); (`Ct, Some 1_000); (`Ct_h, Some 1_000) ]
 
 (* ------------------------------------------------------------------ *)
 (* RankJoinCT / agreement                                             *)
@@ -394,6 +427,7 @@ let () =
           Alcotest.test_case "complete te" `Quick test_topkct_complete_te;
           Alcotest.test_case "k validation" `Quick test_topkct_k_validation;
           Alcotest.test_case "budget" `Quick test_topkct_budget;
+          Alcotest.test_case "deadline" `Quick test_topk_deadline;
           Alcotest.test_case "heap pop accounting" `Quick test_topkct_heap_pops_bounded;
         ] );
       ( "rankjoin",
