@@ -12,6 +12,8 @@ let m_qhwm = Obs.Gauge.make ~help:"worklist Q length high-water mark" "chase_que
 let m_snapshots = Obs.Counter.make ~help:"candidate-independent base fixpoints built" "chase_snapshot_builds_total"
 let m_delta = Obs.Counter.make ~help:"candidate checks answered from a snapshot delta" "chase_delta_checks_total"
 let m_index_hits = Obs.Counter.make ~help:"join-key probes of the master residual index that matched rows" "residual_index_hits_total"
+let m_learned = Obs.Counter.make ~help:"(attr, value) pairs found refuted alone by a one-fill delta" "chase_refutations_learned_total"
+let m_refuted = Obs.Counter.make ~help:"candidate checks answered from the refutation memo" "chase_refuted_checks_total"
 
 type verdict =
   | Church_rosser of Instance.t
@@ -576,7 +578,17 @@ let check c tuple =
    If the base fixpoint itself conflicts, those conflicting steps
    have no te predicates left unsatisfied — they fire under every
    template — so no candidate can pass: [base_cr = false] answers
-   every check with [false] without touching any state. *)
+   every check with [false] without touching any state.
+
+   The snapshot also remembers which single fills are refuted: an
+   [(attr, value)] pair whose one-fill delta from the base is not
+   Church-Rosser. The chase is monotone — a candidate holding that
+   pair starts from a superset of the one-fill template, so every
+   step the one-fill run fired fires again and the same conflict (or
+   an earlier one) is reached — hence such a candidate fails without
+   running its delta. Pairs are classified lazily, only when a
+   candidate holding them fails its full delta, and each at most once
+   per snapshot. The memo is keyed by interned value id. *)
 type snapshot = {
   zc : compiled;
   zst : run_state;
@@ -586,6 +598,9 @@ type snapshot = {
       (* te at the base fixpoint (all-null template): every value
          here is forced by the rules alone, so a candidate disagreeing
          with a non-null entry conflicts without running the delta. *)
+  refuted : bool Itbl.t;
+      (* [vid * arity + attr] -> whether that one fill alone is not
+         Church-Rosser; absent while unclassified *)
 }
 
 let snapshot c =
@@ -604,13 +619,92 @@ let snapshot c =
   (match st.arena with
   | Some _ -> st.base_inst <- Some (Instance.copy inst)
   | None -> ());
-  { zc = c; zst = st; zinst = inst; base_cr; base_te = Instance.te inst }
+  {
+    zc = c;
+    zst = st;
+    zinst = inst;
+    base_cr;
+    base_te = Instance.te inst;
+    refuted = Itbl.create 64;
+  }
 
 let snapshot_base_cr z = z.base_cr
 let snapshot_base_te z = Array.copy z.base_te
 
-(* Resume the snapshot with the candidate's fills, drain, roll back.
-   Raises [Invalid_argument] on a null attribute (like [check]). *)
+(* Resume the snapshot with the fills [fills] passes to its argument,
+   drain, roll back. *)
+let delta ?budget z fills =
+  let st = z.zst and inst = z.zinst in
+  st.logging <- true;
+  st.log <- [];
+  let conflict = ref false in
+  fills (fun attr value ->
+      if not !conflict then
+        match Instance.apply inst (Ground.Assign { attr; value }) with
+        | Instance.Unchanged -> ()
+        | Instance.Changed events ->
+            List.iter (fun e -> record st (U_event e)) events;
+            List.iter (handle_event st inst) events
+        | Instance.Invalid { applied; _ } ->
+            List.iter (fun e -> record st (U_event e)) applied;
+            conflict := true);
+  let out =
+    if !conflict then `Verdict false
+    else
+      match drain_budgeted ?budget z.zc st inst ~fired:(ref 0) ~changed:(ref 0) with
+      | `Done (Church_rosser _), _ -> `Verdict true
+      | `Done (Not_church_rosser _), _ -> `Verdict false
+      | `Out trip, _ -> `Out trip
+  in
+  rollback st inst;
+  out
+
+let memo_key z attr vid = (vid * Array.length z.base_te) + attr
+
+(* Does the candidate hold a pair already found refuted? Values never
+   interned were never filled, so they cannot be in the memo. *)
+let holds_refuted z tuple =
+  let intern = Specification.intern z.zc.cspec in
+  let rec go attr =
+    attr < Array.length tuple
+    && ((Relational.Value.is_null z.base_te.(attr)
+        &&
+        match Relational.Intern.find_opt intern tuple.(attr) with
+        | None -> false
+        | Some vid -> Itbl.find_opt z.refuted (memo_key z attr vid) = Some true)
+       || go (attr + 1))
+  in
+  Itbl.length z.refuted > 0 && go 0
+
+(* After a failed delta, classify the candidate's unclassified pairs
+   with one-fill deltas. A candidate with a single free attribute was
+   itself that one-fill delta. *)
+let learn z tuple =
+  let intern = Specification.intern z.zc.cspec in
+  let free =
+    List.filter
+      (fun (attr, _) -> Relational.Value.is_null z.base_te.(attr))
+      (List.mapi (fun attr value -> (attr, value)) (Array.to_list tuple))
+  in
+  List.iter
+    (fun (attr, value) ->
+      let key = memo_key z attr (Relational.Intern.intern intern value) in
+      if not (Itbl.mem z.refuted key) then begin
+        let refuted =
+          match free with
+          | [ _ ] -> true
+          | _ -> (
+              match delta z (fun assign -> assign attr value) with
+              | `Verdict ok -> not ok
+              | `Out _ -> assert false (* no budget supplied *))
+        in
+        if refuted then Obs.Counter.incr m_learned;
+        Itbl.replace z.refuted key refuted
+      end)
+    free
+
+(* The candidate-level shortcuts, then the delta. Raises
+   [Invalid_argument] on a null attribute (like [check]). *)
 let delta_run ?budget z tuple =
   if Array.exists Relational.Value.is_null tuple then
     invalid_arg "Is_cr.check: candidate target has a null attribute";
@@ -626,35 +720,22 @@ let delta_run ?budget z tuple =
     Obs.Counter.incr m_delta;
     `Verdict false
   end
+  else if holds_refuted z tuple then begin
+    Obs.Counter.incr m_refuted;
+    `Verdict false
+  end
   else begin
     Obs.Counter.incr m_delta;
-    let st = z.zst and inst = z.zinst in
-    st.logging <- true;
-    st.log <- [];
-    let conflict = ref false in
-    Array.iteri
-      (fun attr value ->
-        if (not !conflict) && Relational.Value.is_null z.base_te.(attr) then
-          match Instance.apply inst (Ground.Assign { attr; value }) with
-          | Instance.Unchanged -> ()
-          | Instance.Changed events ->
-              List.iter (fun e -> record st (U_event e)) events;
-              List.iter (handle_event st inst) events
-          | Instance.Invalid { applied; _ } ->
-              List.iter (fun e -> record st (U_event e)) applied;
-              conflict := true)
-      tuple;
     let out =
-      if !conflict then `Verdict false
-      else
-        match
-          drain_budgeted ?budget z.zc st inst ~fired:(ref 0) ~changed:(ref 0)
-        with
-        | `Done (Church_rosser _), _ -> `Verdict true
-        | `Done (Not_church_rosser _), _ -> `Verdict false
-        | `Out trip, _ -> `Out trip
+      delta ?budget z (fun assign ->
+          Array.iteri
+            (fun attr value ->
+              if Relational.Value.is_null z.base_te.(attr) then assign attr value)
+            tuple)
     in
-    rollback st inst;
+    (* A budget meters the candidate's own delta only, so a budgeted
+       check reads the memo but never extends it. *)
+    (match (out, budget) with `Verdict false, None -> learn z tuple | _ -> ());
     out
   end
 

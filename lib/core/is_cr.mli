@@ -109,8 +109,17 @@ type snapshot
     only the steps those assignments wake up, then rolls the shared
     state back through an undo log — so one snapshot answers any
     number of [check] calls, each touching only the delta its
-    candidate actually causes. Not domain-safe: a snapshot mutates
-    shared state during each check; confine it to one domain. *)
+    candidate actually causes.
+
+    A snapshot also learns {e refuted} fills: an [(attribute, value)]
+    pair whose one-fill delta from the base is not Church-Rosser.
+    Since the chase is monotone, every candidate holding such a pair
+    fails too, and is answered [false] without running its delta
+    (counted by [chase_refuted_checks_total]). Pairs are classified
+    when a candidate holding them fails its delta, each at most once
+    per snapshot ([chase_refutations_learned_total] counts the
+    refuted ones). Not domain-safe: a snapshot mutates shared state
+    during each check; confine it to one domain. *)
 
 val snapshot : compiled -> snapshot
 (** Build the base fixpoint (one full drain; every later check is a
@@ -129,8 +138,10 @@ val snapshot_base_te : snapshot -> Relational.Value.t array
 val check_snapshot : snapshot -> Relational.Value.t array -> bool
 (** Same answer as [check c] for the compiled form [c] the snapshot
     was built from (property-tested), in time proportional to the
-    candidate's delta. Raises [Invalid_argument] if the tuple has a
-    null attribute. *)
+    candidate's delta — or constant, when the candidate holds a
+    refuted fill. A failed delta classifies the candidate's
+    unclassified fills, one one-fill delta each. Raises
+    [Invalid_argument] if the tuple has a null attribute. *)
 
 val check_snapshot_budgeted :
   budget:Robust.Budget.t ->
@@ -138,7 +149,8 @@ val check_snapshot_budgeted :
   Relational.Value.t array ->
   (bool, Robust.Error.trip) result
 (** {!check_snapshot} with each delta-fired step charged one budget
-    unit (the snapshot's own construction is not charged). On a trip
+    unit (the snapshot's own construction is not charged). It reads
+    the refuted-fill memo but never extends it. On a trip
     the delta is rolled back before returning, so the snapshot stays
     valid and the same check can be retried later under a fresh
     budget. *)

@@ -8,7 +8,9 @@
     exactly this structure for [TopKCT]'s frontier queue [Q]
     ("a Brodal queue, a worst-case efficient priority queue [6]; it
     takes O(1) time to insert a tuple and O(log |Q|) time to pop up
-    the top tuple").
+    the top tuple"). [Topk_ct] pops the same sequence from a mutable
+    {!Binary_heap}, which is cheaper for a frontier that is never
+    shared; this queue remains for the priority-queue ablation.
 
     The queue is persistent; operations return new queues. The
     comparison is fixed at creation. *)

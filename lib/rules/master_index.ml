@@ -17,6 +17,9 @@ type t = {
   intern : Intern.t;
   lock : Mutex.t;
   cols : int list Itbl.t option array;
+  mutable domains : (int list * (int * Value.t) array) list;
+      (* column set -> its distinct non-null values with their ids,
+         in first-seen order *)
 }
 
 let make rel =
@@ -25,6 +28,7 @@ let make rel =
     intern = Intern.create ();
     lock = Mutex.create ();
     cols = Array.make (Relational.Schema.arity (Relation.schema rel)) None;
+    domains = [];
   }
 
 (* Process-wide memo, keyed by physical identity: master relations
@@ -82,3 +86,37 @@ let rows t ~col v =
             match Itbl.find_opt idx vid with Some l -> l | None -> []))
 
 let relation t = t.rel
+
+(* Column by column, rows ascending; dedup by interned id, i.e. by
+   [Value.equal]. Built under the index lock, once per column set. *)
+let build_domain t cols =
+  let seen = Itbl.create 64 and acc = ref [] in
+  List.iter
+    (fun col ->
+      for m = 0 to Relation.size t.rel - 1 do
+        let v = Relation.get t.rel m col in
+        if not (Value.is_null v) then begin
+          let vid = Intern.intern t.intern v in
+          if not (Itbl.mem seen vid) then begin
+            Itbl.add seen vid ();
+            acc := (vid, v) :: !acc
+          end
+        end
+      done)
+    cols;
+  let d = Array.of_list (List.rev !acc) in
+  t.domains <- (cols, d) :: t.domains;
+  d
+
+let domain t ~cols ~skip =
+  Mutex.protect t.lock (fun () ->
+      let d =
+        match List.assoc_opt cols t.domains with
+        | Some d -> d
+        | None -> build_domain t cols
+      in
+      let skip = List.filter_map (Intern.find_opt t.intern) skip in
+      Array.fold_right
+        (fun (vid, v) acc ->
+          if List.exists (fun s -> s = vid) skip then acc else v :: acc)
+        d [])

@@ -32,3 +32,13 @@ val rows : t -> col:int -> Relational.Value.t -> int list
 
 val relation : t -> Relational.Relation.t
 (** The indexed master relation itself. *)
+
+val domain :
+  t -> cols:int list -> skip:Relational.Value.t list -> Relational.Value.t list
+(** [domain t ~cols ~skip] — the distinct non-null values of the
+    master columns [cols], in first-seen order (the columns in the
+    given order, each top to bottom), leaving out every value
+    {!Relational.Value.equal} to one in [skip]. This is the master
+    half of a top-k active domain: the distinct values of a column
+    set are computed once per index and reused for every entity
+    cleaned against the same master. *)

@@ -19,9 +19,12 @@ val values :
   Core.Specification.t ->
   int ->
   Relational.Value.t list
-(** Active domain of one entity attribute, deduplicated, in
-    first-appearance order ([Ie] column, then master contributions,
-    then [⊥_A] when [include_default], default [true]). *)
+(** Active domain of one entity attribute, deduplicated by
+    {!Relational.Value.equal}, in first-appearance order ([Ie]
+    column, then master contributions, then [⊥_A] when
+    [include_default], default [true]). The master contributions come
+    from {!Rules.Master_index.domain}, computed once per master
+    relation and column set. *)
 
 val ranked :
   ?include_default:bool ->

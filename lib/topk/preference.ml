@@ -16,13 +16,20 @@ let of_fun f = { weight = f }
 
 let uniform () = { weight = (fun _ v -> if Value.is_null v then 0.0 else 1.0) }
 
-(* Keys distinguish runtime type; see Ordering.Attr_order.class_key. *)
+(* Keys distinguish runtime type and agree with [Value.equal] exactly: an integral float in the int
+   range keys as its int twin, any other float by its exact
+   hexadecimal spelling. [string_of_float] kept only 12 significant
+   digits and merged distinct numbers. *)
 let value_key v =
   match v with
   | Value.Null -> "n"
   | Value.Bool b -> if b then "bt" else "bf"
-  | Value.Int i -> "d" ^ string_of_float (float_of_int i)
-  | Value.Float f -> "d" ^ string_of_float f
+  | Value.Int i -> "d" ^ string_of_int i
+  | Value.Float f ->
+      if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then
+        "d" ^ string_of_int (int_of_float f)
+      else if Float.is_nan f then "dnan"
+      else "d" ^ Printf.sprintf "%h" f
   | Value.String s -> "s" ^ s
 
 let of_occurrences ?(default = 0.5) relation =

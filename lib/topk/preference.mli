@@ -41,6 +41,7 @@ val override :
 (** Point updates on top of an existing model. *)
 
 val value_key : Relational.Value.t -> string
-(** Canonical hash key of a value (distinguishes runtime types,
-    unifies numerically equal ints and floats). Shared by the top-k
-    algorithms' duplicate sets. *)
+(** Canonical hash key of a value: two values share a key exactly
+    when {!Relational.Value.equal} holds (runtime types are told
+    apart, numerically equal ints and floats unified, numbers keyed
+    without rounding). *)

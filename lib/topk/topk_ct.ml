@@ -42,10 +42,14 @@ module Vec = struct
     v.len <- v.len + 1
 end
 
-(* A frontier object: the full tuple, the per-null-attribute buffer
-   positions, and the cached score. *)
-type obj = { values : Value.t array; pos : int array; w : float }
+(* A frontier object: the per-null-attribute buffer positions and the
+   cached score. The candidate tuple itself is only built when the
+   object is popped — most enumerated objects never are. *)
+type obj = { pos : int array; w : float }
 
+(* A total order over distinct position vectors (score, then
+   positions), so the frontier's pop sequence does not depend on the
+   queue implementation. *)
 let obj_cmp a b =
   match Float.compare b.w a.w with
   | 0 ->
@@ -58,9 +62,25 @@ let obj_cmp a b =
       go 0
   | c -> c
 
-let zkey zattrs values =
-  String.concat "\x00"
-    (List.map (fun a -> Preference.value_key values.(a)) (Array.to_list zattrs))
+(* The frontier's duplicate set, keyed by position vector: position j
+   of attribute i is always the same domain value, and domains are
+   duplicate-free, so equal vectors are exactly equal candidates. The
+   hash reads every coordinate — polymorphic [Hashtbl.hash] stops
+   after ten, which collides on wide lattices. *)
+module Pos_set = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let rec go i = i = Array.length a || (a.(i) = b.(i) && go (i + 1)) in
+    Array.length a = Array.length b && go 0
+
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 65599) + a.(i)
+    done;
+    !h land max_int
+end)
 
 let run ?(check = true) ?snapshot ?include_default ?budget ~k ~pref compiled te =
   if k < 1 then invalid_arg "Topk_ct.run: k < 1";
@@ -143,17 +163,18 @@ let run ?(check = true) ?snapshot ?include_default ?budget ~k ~pref compiled te 
     for i = 0 to m - 1 do
       ignore (pop_heap i : bool)
     done;
-    let seed_values = Array.copy te in
-    Array.iteri
-      (fun i a -> seed_values.(a) <- fst (Vec.get buffers.(i) 0))
-      zattrs;
-    let seed =
-      { values = seed_values; pos = Array.make m 0; w = Preference.score pref seed_values }
+    let values_at pos =
+      let values = Array.copy te in
+      Array.iteri (fun i a -> values.(a) <- fst (Vec.get buffers.(i) pos.(i))) zattrs;
+      values
     in
-    let seen = Hashtbl.create 64 in
-    Hashtbl.add seen (zkey zattrs seed.values) ();
+    let seed_pos = Array.make m 0 in
+    let seed = { pos = seed_pos; w = Preference.score pref (values_at seed_pos) } in
+    let seen = Pos_set.create 64 in
+    Pos_set.add seen seed_pos ();
     incr enumerated;
-    let queue = ref (Pqueue.Brodal_queue.insert seed (Pqueue.Brodal_queue.empty ~cmp:obj_cmp)) in
+    let queue = Pqueue.Binary_heap.create ~cmp:obj_cmp in
+    Pqueue.Binary_heap.add queue seed;
     (* One meter unit per frontier pop; the meter's deadline rides
        along. *)
     let charge () =
@@ -165,17 +186,18 @@ let run ?(check = true) ?snapshot ?include_default ?budget ~k ~pref compiled te 
         match charge () with
         | Some trip -> finish ~exhausted:trip targets
         | None -> (
-            match Pqueue.Brodal_queue.pop !queue with
+            match Pqueue.Binary_heap.pop queue with
             | None -> finish targets
-            | Some (o, q') ->
-                queue := q';
+            | Some o ->
                 incr queue_pops;
                 Obs.Counter.incr m_pops;
+                let values = values_at o.pos in
                 let targets, found =
-                  if verify o.values then (Array.copy o.values :: targets, found + 1)
+                  if verify values then (values :: targets, found + 1)
                   else (targets, found)
                 in
-                (* Expand: advance each attribute position by one. *)
+                (* Expand: advance each attribute position by one. The
+                   score moves by the one weight that changed. *)
                 for i = 0 to m - 1 do
                   let next = o.pos.(i) + 1 in
                   let available =
@@ -183,21 +205,16 @@ let run ?(check = true) ?snapshot ?include_default ?budget ~k ~pref compiled te 
                     || (Vec.length buffers.(i) = next && pop_heap i)
                   in
                   if available then begin
-                    let v, w_new = Vec.get buffers.(i) next in
-                    let values = Array.copy o.values in
-                    let attr = zattrs.(i) in
-                    let _, w_old = Vec.get buffers.(i) o.pos.(i) in
-                    values.(attr) <- v;
-                    let key = zkey zattrs values in
-                    if not (Hashtbl.mem seen key) then begin
-                      Hashtbl.add seen key ();
+                    let pos = Array.copy o.pos in
+                    pos.(i) <- next;
+                    if not (Pos_set.mem seen pos) then begin
+                      Pos_set.add seen pos ();
                       incr enumerated;
-                      let pos = Array.copy o.pos in
-                      pos.(i) <- next;
-                      let o' = { values; pos; w = o.w -. w_old +. w_new } in
-                      queue := Pqueue.Brodal_queue.insert o' !queue;
+                      let _, w_new = Vec.get buffers.(i) next in
+                      let _, w_old = Vec.get buffers.(i) o.pos.(i) in
+                      Pqueue.Binary_heap.add queue { pos; w = o.w -. w_old +. w_new };
                       Obs.Gauge.observe_max m_hwm
-                        (float_of_int (Pqueue.Brodal_queue.size !queue))
+                        (float_of_int (Pqueue.Binary_heap.length queue))
                     end
                   end
                 done;

@@ -1,5 +1,5 @@
 (** [TopKCT] (Fig. 5, §6.2): exact top-k candidate targets by
-    lattice enumeration over per-attribute heaps, with a Brodal
+    lattice enumeration over per-attribute heaps, with a priority
     queue as the frontier.
 
     Given the deduced target [te] of a Church-Rosser specification,
@@ -14,11 +14,17 @@
     [check] (a chase run, §5) before it is emitted.
 
     The enumeration is instance-optimal w.r.t. heap pops
-    (Prop. 7). *)
+    (Prop. 7). The paper's Brodal queue (kept in {!Pqueue}) is
+    replaced by a mutable binary heap: the frontier is never shared
+    or persisted, and its order — score, then the position vector —
+    is total over distinct candidates, so the pop sequence is the
+    same under either queue. Frontier objects carry only their
+    position vector and score, deduplicated on the vector; a
+    candidate's tuple is built when it is popped. *)
 
 type stats = {
   heap_pops : int;  (** total pops over the m attribute heaps *)
-  queue_pops : int;  (** pops from the Brodal queue *)
+  queue_pops : int;  (** pops from the frontier queue *)
   checks : int;  (** candidate verifications (chase runs) *)
   enumerated : int;  (** distinct tuples pushed to the frontier *)
 }

@@ -541,6 +541,103 @@ let snapshot_delta_property =
                 candidates)
         ds.entities)
 
+(* One snapshot answers a long stream of random complete candidates
+   drawn from the active domains, in random order, so later checks
+   meet refutations that earlier failures taught the snapshot. Every
+   answer must match a from-scratch check. A rare mutation of an
+   attribute the chase decided exercises the forced-value path too. *)
+let memo_agrees_with_fresh ~seed ~n compiled =
+  match Is_cr.run_compiled compiled with
+  | Is_cr.Not_church_rosser _ -> true
+  | Is_cr.Church_rosser inst ->
+      let spec = Is_cr.compiled_spec compiled in
+      let te = Instance.te inst in
+      let domains =
+        Array.init (Array.length te) (fun a ->
+            Array.of_list (Topk.Active_domain.values spec a))
+      in
+      let g = Util.Prng.create seed in
+      let pick a = domains.(a).(Util.Prng.int g (Array.length domains.(a))) in
+      let candidate () =
+        Array.mapi
+          (fun a v -> if Value.is_null v || Util.Prng.int g 16 = 0 then pick a else v)
+          te
+      in
+      let z = Is_cr.snapshot compiled in
+      List.for_all
+        (fun _ ->
+          let t = candidate () in
+          Bool.equal (Is_cr.check compiled t) (Is_cr.check_snapshot z t)
+          || QCheck.Test.fail_reportf "memo verdict differs on candidate %s"
+               (String.concat "," (Array.to_list (Array.map Value.to_string t))))
+        (List.init n Fun.id)
+
+let memo_property_med =
+  QCheck.Test.make ~count:10
+    ~name:"refutation memo: snapshot == fresh check over 200 candidates (Med)"
+    QCheck.(int_bound 50_000)
+    (fun seed ->
+      let ds = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+      List.for_all
+        (fun (e : Datagen.Entity_gen.entity) ->
+          memo_agrees_with_fresh ~seed ~n:200
+            (Is_cr.compile (Datagen.Entity_gen.spec_for ds e)))
+        ds.entities)
+
+let memo_property_syn =
+  QCheck.Test.make ~count:3
+    ~name:"refutation memo: snapshot == fresh check over 200 candidates (Syn, templates)"
+    QCheck.(pair (int_range 1 1_000) (int_range 100 300))
+    (fun (seed, im) ->
+      let syn = Datagen.Syn_gen.dataset ~ie:40 ~im ~sigma:30 ~seed () in
+      let compiled = Is_cr.compile syn.spec in
+      (Is_cr.compiled_template_count compiled > 0
+      || QCheck.Test.fail_report "Syn rules produced no templates")
+      && memo_agrees_with_fresh ~seed ~n:200 compiled)
+
+(* A futile Med search: the first entity whose top-1 search rejects
+   candidates must learn refuted fills and answer later candidates
+   from them, and whatever it returns must still pass a fresh check. *)
+let test_memo_counters_move () =
+  let ds = Datagen.Med_gen.dataset ~entities:60 ~seed:97 () in
+  let counter name =
+    match Obs.find name with Some (Obs.Counter v) -> v | _ -> 0
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let rec first = function
+    | [] -> None
+    | (e : Datagen.Entity_gen.entity) :: rest -> (
+        let compiled = Is_cr.compile (Datagen.Entity_gen.spec_for ds e) in
+        match Is_cr.run_compiled compiled with
+        | Is_cr.Church_rosser inst when not (Instance.te_complete inst) -> (
+            Obs.reset ();
+            let pref = Topk.Preference.of_occurrences e.instance in
+            match
+              Topk.solve ~max_pops:2_000 ~k:1 ~pref compiled (Instance.te inst)
+            with
+            | Ok o when counter "chase_refuted_checks_total" > 0 ->
+                Some (compiled, o.Topk.targets)
+            | _ -> first rest)
+        | _ -> first rest)
+  in
+  let found = first ds.entities in
+  let learned = counter "chase_refutations_learned_total"
+  and refuted = counter "chase_refuted_checks_total"
+  and checks = counter "topk_checks_total" in
+  Obs.set_enabled was;
+  match found with
+  | None -> Alcotest.fail "no Med entity exercised the refutation memo"
+  | Some (compiled, targets) ->
+      check Alcotest.bool "refutations learned" true (learned > 0);
+      check Alcotest.bool "checks answered from the memo" true (refuted > 0);
+      check Alcotest.bool "memo answers are checks" true (refuted <= checks);
+      List.iter
+        (fun t ->
+          check Alcotest.bool "returned target passes a fresh check" true
+            (Is_cr.check compiled t))
+        targets
+
 (* Undo must restore the interned slot state exactly, not just the
    structural [te] — the compiled watchers test fills by id, so a
    stale id after rollback would flip later verdicts. *)
@@ -870,6 +967,10 @@ let () =
           Alcotest.test_case "respelled candidates after interning" `Quick
             test_snapshot_after_interning_respelled;
           QCheck_alcotest.to_alcotest snapshot_delta_property;
+          QCheck_alcotest.to_alcotest memo_property_med;
+          QCheck_alcotest.to_alcotest memo_property_syn;
+          Alcotest.test_case "refutation memo counters move" `Quick
+            test_memo_counters_move;
         ] );
       ( "metrics",
         [

@@ -92,6 +92,41 @@ let test_active_domain_ranked () =
   let ws = Array.map snd ranked in
   Array.iteri (fun i w -> if i > 0 then assert (w <= ws.(i - 1))) ws
 
+(* Numbers that agree in their first 12 significant digits are still
+   different values: the domain and the occurrence counts must keep
+   them apart, while an int and its equal float stay one value. *)
+let test_numeric_keys_exact () =
+  let schema = Schema.make "nums" [ "n"; "x" ] in
+  let row n x = Relational.Tuple.make [| n; x |] in
+  let entity =
+    Relation.make schema
+      [
+        row (Value.Int 1234567890123) (Value.Float 1.0000000000001);
+        row (Value.Int 1234567890124) (Value.Float 1.0000000000002);
+        row (Value.Int 1234567890124) (Value.Int 3);
+        row (Value.Float 1234567890124.) (Value.Float 3.);
+      ]
+  in
+  let spec =
+    Core.Specification.make_exn ~entity (Rules.Ruleset.make_exn ~schema [])
+  in
+  let domain a = AD.values ~include_default:false spec a in
+  check (Alcotest.list value_testable) "both large ints, first-seen order"
+    [ Value.Int 1234567890123; Value.Int 1234567890124 ]
+    (domain 0);
+  check (Alcotest.list value_testable) "both close floats, 3 once"
+    [ Value.Float 1.0000000000001; Value.Float 1.0000000000002; Value.Int 3 ]
+    (domain 1);
+  let p = Pref.of_occurrences entity in
+  check (Alcotest.float 1e-9) "1234567890123 counted alone" 1.0
+    (Pref.weight p 0 (Value.Int 1234567890123));
+  check (Alcotest.float 1e-9) "1234567890124 with its float twin" 3.0
+    (Pref.weight p 0 (Value.Int 1234567890124));
+  check (Alcotest.float 1e-9) "1.0000000000002 counted alone" 1.0
+    (Pref.weight p 1 (Value.Float 1.0000000000002));
+  check (Alcotest.float 1e-9) "Int 3 and Float 3. share a count" 2.0
+    (Pref.weight p 1 (Value.Float 3.))
+
 (* ------------------------------------------------------------------ *)
 (* TopKCT                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -381,6 +416,53 @@ let test_oracle_example7 () =
   in
   check Alcotest.int "TopKCT finds all 2^n" 16 (List.length r.targets)
 
+(* A wide lattice under one flat score: 12 null attributes over
+   {0, 1, 2, ⊥}, every value weighing 1, no rules. Every candidate
+   ties, so the frontier's order is decided by the position tie-break
+   alone, and its duplicate set must tell apart vectors that differ
+   only past the tenth coordinate. Each popped candidate is emitted,
+   so a candidate popped twice would show as a repeated target. *)
+let wide_tied_fixture () =
+  let n = 12 in
+  let schema = Schema.make "wide" (List.init n (fun i -> "a" ^ string_of_int i)) in
+  let entity =
+    Relation.make schema
+      (List.init 3 (fun v -> Relational.Tuple.make (Array.make n (Value.Int v))))
+  in
+  let spec =
+    Core.Specification.make_exn ~entity (Rules.Ruleset.make_exn ~schema [])
+  in
+  (Core.Is_cr.compile spec, Array.make n Value.Null)
+
+let render_wide t =
+  String.concat ""
+    (Array.to_list
+       (Array.map
+          (fun v -> if AD.is_default v then "x" else Value.to_string v)
+          t))
+
+let wide_tied_expected =
+  [
+    "000000000000"; "000000000001"; "000000000002"; "00000000000x";
+    "000000000010"; "000000000011"; "000000000012"; "00000000001x";
+    "000000000020"; "000000000021"; "000000000022"; "00000000002x";
+    "0000000000x0"; "0000000000x1"; "0000000000x2"; "0000000000xx";
+    "000000000100"; "000000000101"; "000000000102"; "00000000010x";
+    "000000000110"; "000000000111"; "000000000112"; "00000000011x";
+    "000000000120"; "000000000121"; "000000000122"; "00000000012x";
+    "0000000001x0"; "0000000001x1";
+  ]
+
+let test_topkct_wide_tied_frontier () =
+  let compiled, te = wide_tied_fixture () in
+  let k = List.length wide_tied_expected in
+  let r = Topk.Private.Topk_ct.run ~k ~pref:(Pref.uniform ()) compiled te in
+  let got = List.map render_wide r.targets in
+  check Alcotest.(list string) "pinned top-k order" wide_tied_expected got;
+  check Alcotest.int "one pop per target" k r.stats.queue_pops;
+  check Alcotest.int "no candidate popped twice" k
+    (List.length (List.sort_uniq String.compare got))
+
 let test_oracle_limit () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
@@ -408,6 +490,7 @@ let () =
           Alcotest.test_case "occurrences" `Quick test_pref_occurrences;
           Alcotest.test_case "score sums" `Quick test_pref_score_sums;
           Alcotest.test_case "override" `Quick test_pref_override;
+          Alcotest.test_case "numeric keys are exact" `Quick test_numeric_keys_exact;
         ] );
       ( "active-domain",
         [
@@ -429,6 +512,7 @@ let () =
           Alcotest.test_case "budget" `Quick test_topkct_budget;
           Alcotest.test_case "deadline" `Quick test_topk_deadline;
           Alcotest.test_case "heap pop accounting" `Quick test_topkct_heap_pops_bounded;
+          Alcotest.test_case "wide tied frontier" `Quick test_topkct_wide_tied_frontier;
         ] );
       ( "rankjoin",
         [
