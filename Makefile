@@ -1,4 +1,4 @@
-.PHONY: all build test check robust lint bench bench-smoke soak-smoke clean
+.PHONY: all build test check robust lint bench bench-smoke perf-check soak-smoke clean
 
 all: build
 
@@ -35,6 +35,15 @@ bench-smoke:
 	mkdir -p _build/bench-smoke && \
 	RELACC_UPDATE_ENTITIES=200 RELACC_UPDATE_COUNT=50 RELACC_GROUND_IM=500 \
 	dune exec bench/main.exe -- --bench-json _build/bench-smoke
+
+# Short runs of the perfbench workloads: each exits non-zero when any
+# output check fails (report digests, session == batch, the serve
+# protocol), so a change that breaks what the benchmark measures
+# fails here before it reaches a timed run.
+perf-check:
+	python3 perfbench/run.py --workload batch-clean --seed 1 --seconds 5
+	python3 perfbench/run.py --workload session-feed --seed 1 --seconds 5
+	python3 perfbench/run.py --workload serve --seed 1 --seconds 5
 
 # Chaos soak of the long-lived service: ~10 s of mixed traffic at
 # ~10% injected faults, then SIGKILL + warm restart with a probe

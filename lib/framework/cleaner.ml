@@ -104,9 +104,9 @@ let rec chase_budgeted ~used compiled lim tries =
    spec, a budget trip, an unexpected exception — is quarantined
    into this entity's result and the batch carries on. The only
    shared state this function touches is the (domain-safe) Obs
-   registry, the compile cache, and read-only inputs, which is what
-   makes it safe to run on a worker domain — and callable directly
-   by an incremental session re-cleaning one entity. *)
+   registry and read-only inputs, which is what makes it safe to run
+   on a worker domain — and callable directly by an incremental
+   session re-cleaning one entity. *)
 let process_entity ?pref_of ?(k_budget = 2_000)
     ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ruleset instance
     =
@@ -122,10 +122,10 @@ let process_entity ?pref_of ?(k_budget = 2_000)
     match Core.Specification.make ~entity:instance ?master ruleset with
     | Error e -> `Quarantine (Robust.Error.spec_invalid e)
     | Ok spec -> (
-        (* Per-cluster artifacts are cached process-wide: repeated
-           cleans of the same batch (retries, benchmark runs,
-           incremental re-cleans) reuse the grounding. *)
-        let compiled = Compile_cache.compile spec in
+        (* Compiled once per call and used once (budget retries
+           reuse it): a batch or session never looks the same
+           cluster up twice, so a cache would only hold it alive. *)
+        let compiled = Core.Is_cr.compile spec in
         match chase_budgeted ~used compiled budget retries with
         | `Exhausted (trip, fired) ->
             `Quarantine
@@ -223,24 +223,13 @@ let assemble schema results =
     cell_changes = Array.fold_left (fun n r -> n + r.r_changes) 0 results;
   }
 
-let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
-    ?(jobs = 1) ruleset dirty =
-  if jobs < 0 then
-    invalid_arg (Printf.sprintf "Cleaner.clean: jobs = %d" jobs);
-  (* jobs = 0 is auto: let the pool resolve the host's recommended
-     domain count. *)
-  let pool = if jobs = 1 then None else Some (Parallel.Pool.create ~jobs ()) in
-  let jobs = match pool with None -> 1 | Some p -> Parallel.Pool.jobs p in
-  let clusters =
-    match (er, clusters) with
-    | Some config, None -> Er.Resolver.cluster config dirty
-    | None, Some cs -> cs
-    | Some _, Some _ ->
-        invalid_arg "Cleaner.clean: pass either ~er or ~clusters, not both"
-    | None, None -> invalid_arg "Cleaner.clean: pass ~er or ~clusters"
-  in
+let clean_entities ?master ?pref_of ?k_budget ?budget ?retries ?(jobs = 1)
+    ruleset dirty clusters =
+  (* jobs = 0 is auto: the pool resolves the host's recommended
+     domain count; at one worker it maps on the calling domain. *)
+  let pool = Parallel.Pool.create ~jobs () in
+  Obs.Gauge.set m_jobs (float_of_int (Parallel.Pool.jobs pool));
   let schema = Relation.schema dirty in
-  Obs.Gauge.set m_jobs (float_of_int jobs);
   (* A cluster referencing rows that do not exist quarantines that
      entity to the majority of its real members — the construction
      fault boundary around [process_entity]'s instance input. *)
@@ -264,21 +253,29 @@ let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
     | exception e -> quarantined_of_members members (Robust.Error.of_exn e)
   in
   let tasks = Array.of_list clusters in
-  let results =
-    match pool with
-    | None -> Array.map process tasks
-    | Some pool ->
-      Array.mapi
-        (fun i -> function
-          | Ok r -> r
-          | Error e ->
-              (* Pool-level backstop: [process] quarantines its own
-                 exceptions, so this only fires if the boundary
-                 itself is broken. *)
-              quarantined_of_members tasks.(i) (Robust.Error.of_exn e))
-        (Parallel.Pool.map_result pool process tasks)
+  Array.mapi
+    (fun i -> function
+      | Ok r -> r
+      | Error e ->
+          (* Pool-level backstop: [process] quarantines its own
+             exceptions, so this only fires if the boundary itself
+             is broken. *)
+          quarantined_of_members tasks.(i) (Robust.Error.of_exn e))
+    (Parallel.Pool.map_result pool process tasks)
+
+let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries ?jobs
+    ruleset dirty =
+  let clusters =
+    match (er, clusters) with
+    | Some config, None -> Er.Resolver.cluster config dirty
+    | None, Some cs -> cs
+    | Some _, Some _ ->
+        invalid_arg "Cleaner.clean: pass either ~er or ~clusters, not both"
+    | None, None -> invalid_arg "Cleaner.clean: pass ~er or ~clusters"
   in
-  assemble schema results
+  assemble (Relation.schema dirty)
+    (clean_entities ?master ?pref_of ?k_budget ?budget ?retries ?jobs ruleset
+       dirty clusters)
 
 let pp_report ppf r =
   Format.fprintf ppf

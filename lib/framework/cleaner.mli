@@ -68,16 +68,6 @@ type entity_result = {
     — which is what lets an incremental session cache them per
     entity and re-clean only the entities an update touches. *)
 
-val quarantined_of_tuples :
-  Relational.Schema.t ->
-  Relational.Tuple.t list ->
-  Robust.Error.t ->
-  entity_result
-(** The fault-degradation result: the majority representative of the
-    given tuples (all-null when there are none) carrying the typed
-    error as a [Quarantined] outcome. Exposed for callers that keep
-    their own fault boundary around {!process_entity}'s inputs. *)
-
 val process_entity :
   ?pref_of:(Relational.Relation.t -> Topk.Preference.t) ->
   ?k_budget:int ->
@@ -88,8 +78,11 @@ val process_entity :
   Relational.Relation.t ->
   entity_result
 (** Clean one entity instance inside the full fault boundary —
-    spec → compile (process-wide cache) → budgeted chase with
-    relax-retries → top-1 completion, quarantining on any failure.
+    spec → compile → budgeted chase with relax-retries (all on the
+    one compiled artifact) → top-1 completion, quarantining on any
+    failure. The artifact is not cached: each call compiles afresh,
+    which is what a one-shot batch pays and what an incremental
+    re-clean needs (its inputs just changed).
     Exactly the per-entity step of {!clean} (same defaults), exposed
     so incremental sessions recompute a single affected entity
     through the very same code path. Safe on worker domains. *)
@@ -97,6 +90,26 @@ val process_entity :
 val assemble : Relational.Schema.t -> entity_result array -> report
 (** Fold per-entity results, in cluster order, into a {!report} —
     the (pure) reassembly step of {!clean}. *)
+
+val clean_entities :
+  ?master:Relational.Relation.t ->
+  ?pref_of:(Relational.Relation.t -> Topk.Preference.t) ->
+  ?k_budget:int ->
+  ?budget:Robust.Budget.limits ->
+  ?retries:int ->
+  ?jobs:int ->
+  Rules.Ruleset.t ->
+  Relational.Relation.t ->
+  int list list ->
+  entity_result array
+(** [clean_entities ruleset dirty clusters] — {!process_entity} over
+    each cluster (row indices of [dirty]) on a {!Parallel.Pool} of
+    [jobs] domains, results in cluster order. The fan-out shared by
+    {!clean} (which {!assemble}s the array) and an incremental
+    session's initial clean (which keeps it per entity). A cluster
+    naming a row [dirty] does not have quarantines that entity to the
+    majority of its real members. Knobs and defaults as in
+    {!clean}. *)
 
 val clean :
   ?er:Er.Resolver.config ->
@@ -124,8 +137,9 @@ val clean :
     [cleaned] rows, [outcomes], [errors], every counter — is
     {e identical} for every [jobs] value: entities are independent,
     results are reassembled in cluster order, and quarantine/retry
-    semantics are per entity. [jobs = 1] takes the plain serial path
-    with no domain spawned. Raises [Invalid_argument] when
-    [jobs < 1]. *)
+    semantics are per entity. [jobs = 1] runs on the calling domain
+    with no domain spawned; [jobs = 0] is auto (the host's
+    recommended domain count). Raises [Invalid_argument] when
+    [jobs < 0]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -15,10 +15,9 @@ let n_misses = Atomic.make 0
 (* A compiled artifact is a pure function of (ruleset, entity,
    master, template). Rulesets and master relations are long-lived
    shared structures, so physical identity is the right (and cheap)
-   key for them; entity relations are rebuilt per clean call from
-   the same underlying tuples (Cleaner slices the dirty relation by
-   cluster), so they are compared by content with a physical
-   shortcut per tuple. Content equality is [Value.equal]-wise — the
+   key for them; an entity relation may be rebuilt from the same
+   tuples by a caller that re-makes its spec, so it is compared by
+   content with a physical shortcut per tuple. Content equality is [Value.equal]-wise — the
    same notion every chase comparison uses — so a hit is guaranteed
    to produce an equivalent artifact. [hash] below leans on the
    [Value.hash]/[Value.compare] consistency contract (equal values —

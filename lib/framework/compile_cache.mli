@@ -3,13 +3,22 @@
 
     Grounding is the specification-level analogue of query
     compilation — a pure function of (ruleset, entity, master,
-    template) — so repeated cleans, benchmarks, or pipeline runs
-    over the same entity cluster reuse one artifact instead of
-    re-instantiating Γ. Rulesets and master relations are keyed by
-    physical identity; the entity relation and template by content
-    ([Value.equal]-wise, with a physical shortcut), which is exactly
-    the granularity at which {!Cleaner} rebuilds per-cluster
-    relations from shared tuples.
+    template) — so repeated runs over the same specification reuse
+    one artifact instead of re-instantiating Γ. Its callers are the
+    ones whose lookups repeat: {!Pipeline.execute} (chase and top-k,
+    which a long-lived server sees again and again for one spec), the
+    server's warm restart ({!warm}) and the benchmark's per-layer
+    timing. A batch clean or a session compiles each entity once,
+    directly ({!Cleaner.process_entity}), and never goes through
+    here.
+
+    Rulesets and master relations are keyed by physical identity; the
+    entity relation and template by content ([Value.equal]-wise, with
+    a physical shortcut). The content key stays although the server
+    reuses one loaded spec per key: it costs one hash over the
+    entity's tuples per lookup, against a compile, and a library
+    caller that rebuilds a spec from the same tuples still hits
+    instead of compiling again.
 
     Domain-safe: lookups and insertions are mutex-guarded (the
     compile itself runs outside the lock; a racing duplicate compile

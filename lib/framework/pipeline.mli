@@ -98,7 +98,8 @@ val execute :
     the request entry point of a long-lived server ({!Service}
     caches loaded specs across requests and arms per-request
     [limits]). Identical semantics to the execution half of {!run};
-    compiled artifacts are shared through {!Compile_cache}. A
+    chase and top-k compile through {!Compile_cache}, so a server's
+    repeat requests share one artifact. A
     [Clean] task runs as a dropped-on-return {!Session} (see the
     migration note above — callers re-executing after each change
     should hold the session instead). *)

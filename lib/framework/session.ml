@@ -22,18 +22,12 @@ type delta_report = {
 }
 
 (* One live entity: its membership, the cached result of the exact
-   batch per-entity path, and the lazily-built affectedness indexes.
-   [e_vals] packs the (attribute, interned value id) pairs of the
-   member tuples — the values the reachability test probes; [e_rules]
-   names the rules behind the entity's current Γ (the first-wins
-   provenance of its ground steps plus its deferred templates) — what
-   Rule_retire probes. Both are invalidated (set to [None]) whenever
-   their inputs change. *)
+   batch per-entity path, and [e_vals], the lazily-packed (attribute,
+   interned value id) pairs of the member tuples — the values the
+   reachability test probes. An entry's membership never changes (ER
+   updates replace entries), so neither does [e_vals]. *)
 type centry = {
-  mutable e_members : int list;  (* row ids, ascending *)
-  mutable e_instance : Relation.t;
-  mutable e_spec : Core.Specification.t option;
-  mutable e_rules : (string, unit) Hashtbl.t option;
+  e_members : int list;  (* row ids, ascending *)
   mutable e_vals : int array option;
   mutable e_result : Cleaner.entity_result;
 }
@@ -64,10 +58,6 @@ type t = {
      probe is an integer membership test. Distinct from the
      per-entity specification interns Γ is grounded with. *)
   sintern : Intern.t;
-  (* (te attr, vid) pairs any form-(2) rule could assign, over the
-     current master — the "reachable through master copy" part of the
-     te-reachability test. Lazily rebuilt after master/rule changes. *)
-  mutable assign_into : (int, unit) Hashtbl.t option;
   mutable cached : Cleaner.report option;
 }
 
@@ -127,31 +117,17 @@ let process_entity t instance =
   Cleaner.process_entity ?pref_of:t.pref_of ?k_budget:t.k_budget
     ~budget:t.budget ?retries:t.retries ?master:t.master t.ruleset instance
 
-let spec_of t instance =
-  Result.to_option (Core.Specification.make ~entity:instance ?master:t.master t.ruleset)
-
-let entry_of_result t members instance result =
+let fresh_entry t members =
+  Obs.Counter.incr m_recleaned;
   {
     e_members = members;
-    e_instance = instance;
-    e_spec = spec_of t instance;
-    e_rules = None;
     e_vals = None;
-    e_result = result;
+    e_result = process_entity t (instance_of t members);
   }
 
-let fresh_entry t members =
-  let instance = instance_of t members in
-  Obs.Counter.incr m_recleaned;
-  entry_of_result t members instance (process_entity t instance)
-
 let reclean e t =
-  e.e_instance <- instance_of t e.e_members;
-  e.e_spec <- spec_of t e.e_instance;
-  e.e_rules <- None;
-  e.e_vals <- None;
   Obs.Counter.incr m_recleaned;
-  e.e_result <- process_entity t e.e_instance
+  e.e_result <- process_entity t (instance_of t e.e_members)
 
 (* ------------------------------------------------------------------ *)
 (* Lazy indexes                                                       *)
@@ -184,62 +160,64 @@ let mem_sorted (a : int array) x =
   done;
   !found
 
-(* The entity's Γ over the CURRENT inputs, demand-ground: the spec's
-   intern/numbering are entity-derived and extensible, so grounding
-   the current rule set and master through them yields exactly the Γ
-   the next recompute would see, and form-(2) rules stay templates
-   instead of |Im| steps. [None] when the entity has no valid
+(* The entity's Γ over the CURRENT inputs, demand-ground exactly as
+   the next recompute would ground it (form-(2) rules stay templates
+   instead of |Im| steps). [None] when the entity has no valid
    specification. *)
 let ground_entity ?only t e =
-  Option.map
-    (fun spec ->
-      Rules.Ground.instantiate_demand ?only
-        ~intern:(Core.Specification.intern spec)
-        ~ruleset:t.ruleset ~entity:e.e_instance ~master:t.master
-        ~orders:(Core.Specification.numbering spec)
-        ())
-    e.e_spec
+  let instance = instance_of t e.e_members in
+  Result.to_option
+    (Result.map
+       (fun spec ->
+         Rules.Ground.instantiate_demand ?only
+           ~intern:(Core.Specification.intern spec)
+           ~ruleset:t.ruleset ~entity:instance ~master:t.master
+           ~orders:(Core.Specification.numbering spec)
+           ())
+       (Core.Specification.make ~entity:instance ?master:t.master t.ruleset))
 
-let rules_of t e =
-  match e.e_rules with
-  | Some _ as names -> names
-  | None ->
-      Option.map
-        (fun d ->
-          let names = Hashtbl.create 16 in
-          let pk = d.Rules.Ground.d_packed in
-          for sid = 0 to Rules.Ground.packed_count pk - 1 do
-            Hashtbl.replace names (Rules.Ground.packed_rule_name pk sid) ()
-          done;
-          Array.iter
-            (fun tpl -> Hashtbl.replace names (Rules.Ground.template_name tpl) ())
-            d.Rules.Ground.d_templates;
-          e.e_rules <- Some names;
-          names)
-        (ground_entity t e)
+(* Does the entity's current Γ name rule [name] — as the first-wins
+   provenance of a ground step or as a deferred template? [true]
+   when the entity has no valid specification. *)
+let gamma_names t e name =
+  match ground_entity t e with
+  | None -> true
+  | Some d ->
+      let pk = d.Rules.Ground.d_packed in
+      let rec step sid =
+        sid < Rules.Ground.packed_count pk
+        && (Rules.Ground.packed_rule_name pk sid = name || step (sid + 1))
+      in
+      step 0
+      || Array.exists
+           (fun tpl -> Rules.Ground.template_name tpl = name)
+           d.Rules.Ground.d_templates
 
-let assign_into t =
-  match t.assign_into with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 256 in
-      (match t.master with
-      | None -> ()
-      | Some m ->
-          List.iter
-            (function
-              | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ } ->
-                  for i = 0 to Relation.size m - 1 do
-                    let v = Relation.get m i f2_tm_attr in
-                    if not (Value.is_null v) then
-                      Hashtbl.replace h
-                        (pack_av f2_te_attr (Intern.intern t.sintern v))
-                        ()
-                  done
-              | Rules.Ar.Form1 _ -> ())
-            (Rules.Ruleset.rules t.ruleset));
-      t.assign_into <- Some h;
-      h
+(* The (te attr, vid) pairs any form-(2) rule could assign over the
+   current master — the "reachable through master copy" part of the
+   te-reachability test. The inputs are read now, the set built on
+   first force, so a caller may swap the master or rule set in
+   between and still probe the pre-swap set. *)
+let copyable t =
+  let master = t.master and rules = Rules.Ruleset.rules t.ruleset in
+  lazy
+    (let h = Hashtbl.create 256 in
+     Option.iter
+       (fun m ->
+         List.iter
+           (function
+             | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ } ->
+                 for i = 0 to Relation.size m - 1 do
+                   let v = Relation.get m i f2_tm_attr in
+                   if not (Value.is_null v) then
+                     Hashtbl.replace h
+                       (pack_av f2_te_attr (Intern.intern t.sintern v))
+                       ()
+                 done
+             | Rules.Ar.Form1 _ -> ())
+           rules)
+       master;
+     h)
 
 (* ------------------------------------------------------------------ *)
 (* Reachability: can a form-(2) step move this entity's result?       *)
@@ -316,9 +294,7 @@ let entity_reaches t ~copyable e residual_rows =
 (* ------------------------------------------------------------------ *)
 
 let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
-    ?retries ?(jobs = 1) ~er ruleset dirty =
-  if jobs < 0 then invalid_arg (Printf.sprintf "Session.create: jobs = %d" jobs);
-  let pool = if jobs = 1 then None else Some (Parallel.Pool.create ~jobs ()) in
+    ?retries ?jobs ~er ruleset dirty =
   let t =
     {
       schema = Relation.schema dirty;
@@ -335,7 +311,6 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
       keys = Hashtbl.create 256;
       clusters = [];
       sintern = Intern.create ();
-      assign_into = None;
       cached = None;
     }
   in
@@ -346,25 +321,17 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
   t.order <- List.init n Fun.id;
   t.next_id <- n;
   Hashtbl.iter (fun id tu -> key_add t id tu) t.rows;
+  (* Row ids start as relation positions, so the clusters index
+     [dirty] directly. *)
   let clusters = Er.Resolver.cluster er dirty in
-  let tasks = Array.of_list clusters in
-  let instances = Array.map (instance_of t) tasks in
   let results =
-    match pool with
-    | None -> Array.map (process_entity t) instances
-    | Some pool ->
-        Array.mapi
-          (fun i -> function
-            | Ok r -> r
-            | Error e ->
-                Cleaner.quarantined_of_tuples t.schema
-                  (Relation.tuples instances.(i))
-                  (Robust.Error.of_exn e))
-          (Parallel.Pool.map_result pool (process_entity t) instances)
+    Cleaner.clean_entities ?master ?pref_of ?k_budget ~budget ?retries ?jobs
+      ruleset dirty clusters
   in
   t.clusters <-
     List.mapi
-      (fun i members -> entry_of_result t members instances.(i) results.(i))
+      (fun i members ->
+        { e_members = members; e_vals = None; e_result = results.(i) })
       clusters;
   sort_clusters t;
   t
@@ -570,23 +537,25 @@ let master_fix t ~row ~attr ~value =
            the new ones, so take the pre-fix copyable set and extend
            it with the fixed cell's new value where a rule copies
            that column. *)
-        let ai = Hashtbl.copy (assign_into t) in
-        if not (Value.is_null value) then
-          List.iter
-            (function
-              | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ }
-                when f2_tm_attr = attr ->
-                  Hashtbl.replace ai
-                    (pack_av f2_te_attr (Intern.intern t.sintern value))
-                    ()
-              | _ -> ())
-            (Rules.Ruleset.rules t.ruleset);
+        let pre_fix = copyable t in
+        let copyable =
+          lazy
+            (let h = Lazy.force pre_fix in
+             if not (Value.is_null value) then
+               List.iter
+                 (function
+                   | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ }
+                     when f2_tm_attr = attr ->
+                       Hashtbl.replace h
+                         (pack_av f2_te_attr (Intern.intern t.sintern value))
+                         ()
+                   | _ -> ())
+                 (Rules.Ruleset.rules t.ruleset);
+             h)
+        in
         t.master <- Some m';
-        t.assign_into <- None;
-        List.iter (fun e -> e.e_rules <- None) t.clusters;
         if changed = [] then Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
         else
-          let copyable = Lazy.from_val ai in
           Ok
             (reclean_split t
                (split_affected t (fun e -> entity_reaches t ~copyable e changed)))
@@ -604,8 +573,6 @@ let rule_add t rule =
       | Error e -> Error (Robust.Error.rule_invalid e)
       | Ok rs ->
           t.ruleset <- rs;
-          t.assign_into <- None;
-          List.iter (fun e -> e.e_rules <- None) t.clusters;
           (* A form-(2) rule grounds one step per selected master row
              {e whatever the entity} — a bare "did it ground?" probe
              would dirty the whole session on every such rule-add, so
@@ -616,7 +583,7 @@ let rule_add t rule =
              can only over-approximate), so the cached result
              stands. *)
           let f2_residuals = f2_residual_rows t rule in
-          let copyable = lazy (assign_into t) in
+          let copyable = copyable t in
           let affected e =
             match f2_residuals with
             | Some residual_rows -> entity_reaches t ~copyable e residual_rows
@@ -641,26 +608,23 @@ let rule_retire t name =
       (* Split BEFORE swapping the rule set: an entity whose current Γ
          names no step or template of this rule (every candidate step
          lost first-provenance dedup or never grounded) keeps an
-         identical Γ after the retire. A templated form-(2) rule is
-         always named, so refine with the reachability test: steps
-         this entity's [te] can never satisfy could never have fired,
-         and removing never-fired steps cannot change a
-         fixpoint-decided result (re-attributing their dedup twins to
-         another rule changes provenance only). *)
+         identical Γ after the retire. A form-(2) rule first goes
+         through the (cheaper) reachability test, the only one that
+         can clear a templated rule, which Γ always names: steps this
+         entity's [te] can never satisfy could never have fired, and
+         removing never-fired steps cannot change a fixpoint-decided
+         result (re-attributing their dedup twins to another rule
+         changes provenance only). *)
       let f2_residuals = f2_residual_rows t rule in
-      let copyable = lazy (assign_into t) in
+      let copyable = copyable t in
       let affected e =
-        (match rules_of t e with None -> true | Some names -> Hashtbl.mem names name)
-        &&
-        match f2_residuals with
+        (match f2_residuals with
         | None -> true
-        | Some residual_rows -> entity_reaches t ~copyable e residual_rows
+        | Some residual_rows -> entity_reaches t ~copyable e residual_rows)
+        && gamma_names t e name
       in
       let split = split_affected t affected in
       t.ruleset <- Rules.Ruleset.remove t.ruleset name;
-      t.assign_into <- None;
-      (* Every name set was built against the pre-retire rule set. *)
-      List.iter (fun e -> e.e_rules <- None) t.clusters;
       Ok (reclean_split t split)
 
 let update t u =

@@ -31,9 +31,10 @@
     - {e Rule_add} of a form-(1) rule: the new rule alone is ground
       against each entity ({!Rules.Ground.instantiate_demand} with
       [~only]); zero steps proves Γ unchanged.
-    - {e Rule_retire}: each entity caches the names of the rules
-      behind its current Γ (step provenance plus deferred templates);
-      an entity whose Γ does not name the rule survives unchanged.
+    - {e Rule_retire}: an entity whose current Γ does not name the
+      rule (as a step's provenance or a deferred template) survives
+      unchanged; the probe demand-grounds Γ and stops at the first
+      match, after the reachability test for a form-(2) rule.
 
     Under a {e finite} budget the master/rule analyses are disabled
     (every entity re-cleans): budgets charge |Γ| up front, so even a

@@ -3,8 +3,10 @@
     Two files, both JSON:
 
     - the {b checkpoint} ([path]) holds the spec descriptors —
-      (entity, master, rules) path triples — the server has compiled
-      since it started. Compiled artifacts are closures and cannot be
+      (entity, master, rules) path triples — of the chase and top-k
+      requests the server has compiled since it started (a clean or
+      session open compiles per entity, outside the cache, so it
+      leaves no warmth to restore). Compiled artifacts are closures and cannot be
       serialized; the descriptors are enough to rebuild them, so a
       restarting server re-loads and re-compiles each one
       ({!Framework.Compile_cache.warm}) and serves its first request

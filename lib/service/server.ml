@@ -219,9 +219,16 @@ let compute_run t p (run : Protocol.run) ~queue_ms =
           match spec_for t run with
           | Error _ as e -> e
           | Ok spec ->
-              Option.iter
-                (fun c -> Checkpoint.note_warm c (Protocol.spec_key run))
-                t.checkpoint;
+              (* Only chase and top-k compile the whole spec through
+                 the compile cache; a clean or session open compiles
+                 per entity, uncached, so its spec is not warmth. *)
+              (match run.task with
+              | (Framework.Pipeline.Chase | Framework.Pipeline.Topk _)
+                when not is_open ->
+                  Option.iter
+                    (fun c -> Checkpoint.note_warm c (Protocol.spec_key run))
+                    t.checkpoint
+              | _ -> ());
               if is_open then (
                   match run.task with
                   | Framework.Pipeline.Clean

@@ -410,6 +410,50 @@ let relax_retry_reaches_unlimited_report =
         QCheck.Test.fail_reportf "ladder landed on %s, unlimited says %s" final
           reference)
 
+(* The cache serves whole-spec compiles (chase, top-k, the server's
+   warm set) only: a batch clean and a session compile each entity
+   afresh, so neither leaves an artifact behind nor counts a miss. *)
+let test_compile_cache_off_batch_and_session () =
+  let module Cache = Framework.Compile_cache in
+  let misses () =
+    match Obs.find "compile_cache_misses_total" with
+    | Some (Obs.Counter n) -> n
+    | _ -> Alcotest.fail "counter compile_cache_misses_total not registered"
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  Cache.clear ();
+  let ds = Datagen.Med_gen.dataset ~entities:60 ~seed:97 () in
+  let er =
+    {
+      (Er.Resolver.default_config ~key_attrs:ds.config.keys
+         ~compare_attrs:(List.map (fun a -> (a, 1.0)) ds.config.keys))
+      with
+      use_soundex = true;
+      threshold = 0.72;
+    }
+  in
+  let flat = Datagen.Update_gen.flatten ds in
+  let misses0 = misses () and stats0 = Cache.stats () in
+  let report = Framework.Cleaner.clean ~er ~master:ds.master ds.ruleset flat in
+  check Alcotest.bool "the batch cleaned entities" true
+    (report.Framework.Cleaner.entities > 0);
+  let s = Framework.Session.create ~er ~master:ds.master ds.ruleset flat in
+  List.iteri
+    (fun i u ->
+      match Framework.Session.update s u with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "generated update %d rejected: %s" i
+            (Robust.Error.to_string e))
+    (Datagen.Update_gen.generate ~mix:Datagen.Update_gen.default_mix ~n:8
+       ~seed:13 ds);
+  check Alcotest.int "no artifact cached" 0 (Cache.size ());
+  check Alcotest.int "no compile-cache miss counted" misses0 (misses ());
+  check Alcotest.int "no miss in the unconditional stats" stats0.Cache.misses
+    (Cache.stats ()).Cache.misses
+
 let () =
   Alcotest.run "framework"
     [
@@ -442,6 +486,8 @@ let () =
         [
           Alcotest.test_case "reuses artifacts" `Quick
             test_compile_cache_reuses_artifacts;
+          Alcotest.test_case "off the batch and session paths" `Quick
+            test_compile_cache_off_batch_and_session;
         ] );
       ( "degradation",
         [ QCheck_alcotest.to_alcotest relax_retry_reaches_unlimited_report ] );

@@ -636,6 +636,43 @@ let test_server_warm_restart_replays_identically () =
   check string "replayed request reports identical bytes" (result first)
     (result second)
 
+let test_server_session_restart_compiles_nothing () =
+  (* A clean or session open compiles per entity, outside the compile
+     cache, so its spec is no warmth: a restart must not compile the
+     whole flat relation as one entity. *)
+  let corpus = Lazy.force corpus in
+  let path = temp_path "sessckpt" in
+  let cfg = { Server.default_config with checkpoint_path = Some path } in
+  let open_line id =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Str id);
+           ("op", Json.Str "session");
+           ("entity", Json.Str corpus.Driver.flat);
+           ("master", Json.Str corpus.Driver.master);
+           ("rules", Json.Str corpus.Driver.rules);
+           ("key", Json.list (fun a -> Json.Str a) corpus.Driver.key_attrs);
+         ])
+  in
+  let opened resp =
+    match Protocol.classify_response resp with
+    | `Ok | `Degraded -> ()
+    | _ -> failf "session open failed: %s" resp
+  in
+  let server = Server.create cfg in
+  opened (send_to server (open_line "s0"));
+  Server.request_stop server;
+  check (list string) "no session spec recorded as warm" []
+    (List.map Checkpoint.spec_key_name (Checkpoint.load ~path).warm);
+  Framework.Compile_cache.clear ();
+  let before = Framework.Compile_cache.stats () in
+  let server2 = Server.create cfg in
+  Fun.protect ~finally:(fun () -> Server.stop server2) @@ fun () ->
+  let after_boot = Framework.Compile_cache.stats () in
+  check int "boot compiles nothing" before.misses after_boot.misses;
+  opened (send_to server2 (open_line "s1"))
+
 (* ------------------------------------------------------------------ *)
 (* In-process chaos soak: the response contract holds under faults    *)
 (* ------------------------------------------------------------------ *)
@@ -718,6 +755,8 @@ let () =
             test_server_circuit_breaker_trips;
           test_case "warm restart replays identically" `Quick
             test_server_warm_restart_replays_identically;
+          test_case "session restart compiles nothing" `Quick
+            test_server_session_restart_compiles_nothing;
         ] );
       ( "soak",
         [ test_case "contract under chaos" `Quick test_soak_contract_under_chaos ] );
